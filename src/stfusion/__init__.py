@@ -34,10 +34,7 @@ from .model import (
     Subnetwork,
     TemplateConfig,
     TemplateNetwork,
-    build_template,
     enumerate_all_strategies,
-    forward_with_gates,
-    materialize_strategy,
     recover_strategy,
     strategy_from_literature,
 )

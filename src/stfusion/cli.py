@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 config error, 3 training divergence, 4 missing artifact,
 """
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,7 @@ from . import lab
 from .config import RunConfig, load_run_config, override_seed
 from .errors import ConfigurationError, SizeGuardError, TrainingDiverged
 from .gates import GateParams, ObjectiveConfig
-from .model import FusionStrategy, build_template, enumerate_all_strategies
+from .model import FusionStrategy, TemplateNetwork, enumerate_all_strategies
 
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
@@ -65,24 +66,12 @@ def _load_dataset_splits(cfg: RunConfig, wd: Path):
 
 
 def _save_weights(net, path):
-    arrays = {p.identifier: p.data for p in net.parameters()}
-    for bn in net.batch_norms():
-        prefix = bn.gamma.identifier.rsplit("/", 1)[0]
-        arrays[f"{prefix}/running_mean"] = bn.running_mean
-        arrays[f"{prefix}/running_var"] = bn.running_var
-        arrays[f"{prefix}/initialized"] = np.array(1.0 if bn.initialized else 0.0)
-    np.savez(path, **arrays)
+    np.savez(path, **net.state_dict())
 
 
 def _load_weights(net, path):
     with np.load(path) as archive:
-        for p in net.parameters():
-            p.data = archive[p.identifier].copy()
-        for bn in net.batch_norms():
-            prefix = bn.gamma.identifier.rsplit("/", 1)[0]
-            bn.running_mean = archive[f"{prefix}/running_mean"].copy()
-            bn.running_var = archive[f"{prefix}/running_var"].copy()
-            bn.initialized = bool(archive[f"{prefix}/initialized"])
+        net.load_state_dict(dict(archive))
 
 
 config_option = click.option("--config", "config_path", required=True, type=click.Path())
@@ -116,7 +105,7 @@ def train(config_path, workdir, seed):
     """Run warmup and variational DropPath training on the template network."""
     cfg, wd = _load_config(config_path, workdir, seed)
     train_set, val_set = _load_dataset_splits(cfg, wd)
-    net = build_template(cfg.template, seed=cfg.schedule.seed)
+    net = TemplateNetwork(cfg.template, seed=cfg.schedule.seed)
     params = GateParams.for_config(cfg.template, init_drop=0.1, tau=1.0)
     objective_cfg = ObjectiveConfig(k=cfg.objective_k, n_train=len(train_set))
     try:
@@ -139,7 +128,7 @@ def sample_eval(config_path, workdir, seed):
     """Sample strategies from the posterior and evaluate them training-free."""
     cfg, wd = _load_config(config_path, workdir, seed)
     train_set, val_set = _load_dataset_splits(cfg, wd)
-    net = build_template(cfg.template, seed=cfg.schedule.seed)
+    net = TemplateNetwork(cfg.template, seed=cfg.schedule.seed)
     _load_weights(net, _require(wd / WEIGHTS_FILE))
     params = GateParams.load(_require(wd / GATES_FILE))
     rng = np.random.default_rng(cfg.sampling.seed)
@@ -179,14 +168,17 @@ def report(config_path, workdir, seed):
     click.echo(f"wrote {wd / PREFERENCE_FILE} ({len(rep.rows)} layers)")
 
 
-def _oracle_worker(args):
-    index, strategy_json, cfg_blob = args
-    import pickle
+_oracle_inputs = None  # (cfg, train_set, val_set), set once per process by _oracle_init
 
-    cfg, train_set, val_set = pickle.loads(cfg_blob)
-    strategy = FusionStrategy.from_json(json.loads(strategy_json))
-    acc = lab.train_standalone(strategy, cfg.template, train_set, val_set, cfg.schedule)
-    return index, acc
+
+def _oracle_init(cfg, train_set, val_set):
+    global _oracle_inputs
+    _oracle_inputs = (cfg, train_set, val_set)
+
+
+def _oracle_worker(strategy):
+    cfg, train_set, val_set = _oracle_inputs
+    return lab.train_standalone(strategy, cfg.template, train_set, val_set, cfg.schedule)
 
 
 @main.command()
@@ -196,8 +188,6 @@ def _oracle_worker(args):
 @click.option("--jobs", default=1, show_default=True, type=int, help="Parallel standalone trainings.")
 def oracle(config_path, workdir, seed, jobs):
     """Train every enumerated strategy standalone and compare to the posterior."""
-    import pickle
-
     cfg, wd = _load_config(config_path, workdir, seed)
     try:
         strategies = enumerate_all_strategies(cfg.template.total_layers)
@@ -205,7 +195,7 @@ def oracle(config_path, workdir, seed, jobs):
         click.echo(f"size guard: {exc}", err=True)
         sys.exit(EXIT_GUARD)
     train_set, val_set = _load_dataset_splits(cfg, wd)
-    net = build_template(cfg.template, seed=cfg.schedule.seed)
+    net = TemplateNetwork(cfg.template, seed=cfg.schedule.seed)
     _load_weights(net, _require(wd / WEIGHTS_FILE))
 
     recal = train_set if cfg.sampling.recalibrate_bn else None
@@ -213,28 +203,20 @@ def oracle(config_path, workdir, seed, jobs):
         lab.evaluate_strategy(net, s, val_set, recalibrate=recal).val_accuracy for s in strategies
     ]
 
-    if jobs > 1:
-        blob = pickle.dumps((cfg, train_set, val_set))
-        tasks = [(i, json.dumps(s.to_json(), sort_keys=True), blob) for i, s in enumerate(strategies)]
-        results = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for index, acc in pool.map(_oracle_worker, tasks):
-                results[index] = acc
-        oracle_accs = [results[i] for i in range(len(strategies))]
-    else:
-        try:
-            oracle_accs = [
-                lab.train_standalone(s, cfg.template, train_set, val_set, cfg.schedule)
-                for s in strategies
-            ]
-        except TrainingDiverged as exc:
-            click.echo(f"oracle training diverged: {exc}", err=True)
-            sys.exit(EXIT_DIVERGED)
-
-    import csv as _csv
+    inputs = (cfg, train_set, val_set)
+    try:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_oracle_init, initargs=inputs) as pool:
+                oracle_accs = list(pool.map(_oracle_worker, strategies))
+        else:
+            _oracle_init(*inputs)
+            oracle_accs = [_oracle_worker(s) for s in strategies]
+    except TrainingDiverged as exc:
+        click.echo(f"oracle training diverged: {exc}", err=True)
+        sys.exit(EXIT_DIVERGED)
 
     with open(wd / ORACLE_FILE, "w", newline="") as f:
-        writer = _csv.writer(f)
+        writer = csv.writer(f)
         writer.writerow(["strategy_json", "oracle_accuracy", "posterior_accuracy"])
         for s, oa, pa in zip(strategies, oracle_accs, posterior):
             writer.writerow([json.dumps(s.to_json(), sort_keys=True), repr(oa), repr(pa)])

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .data import SynthSpec
 from .errors import ConfigurationError
@@ -56,7 +56,7 @@ def _get(obj: dict, key: str, path: str, default=_REQUIRED):
     return obj[key]
 
 
-def _build_template(obj: dict, path="template.") -> TemplateConfig:
+def _parse_template(obj: dict, path="template.") -> TemplateConfig:
     return TemplateConfig(
         num_blocks=_get(obj, "num_blocks", path),
         layers_per_block=_get(obj, "layers_per_block", path),
@@ -68,7 +68,7 @@ def _build_template(obj: dict, path="template.") -> TemplateConfig:
     )
 
 
-def _build_schedule(obj: dict, path="schedule.") -> TrainSchedule:
+def _parse_schedule(obj: dict, path="schedule.") -> TrainSchedule:
     return TrainSchedule(
         warmup_epochs=_get(obj, "warmup_epochs", path, 10),
         main_epochs=_get(obj, "main_epochs", path, 30),
@@ -80,7 +80,7 @@ def _build_schedule(obj: dict, path="schedule.") -> TrainSchedule:
     )
 
 
-def _build_data(obj: dict, path="data.") -> DataConfig:
+def _parse_data(obj: dict, path="data.") -> DataConfig:
     spec = SynthSpec(
         mode=_get(obj, "mode", path),
         classes=_get(obj, "classes", path),
@@ -97,10 +97,10 @@ def _build_data(obj: dict, path="data.") -> DataConfig:
 
 def parse_run_config(obj: dict) -> RunConfig:
     try:
-        template = _build_template(_get(obj, "template", ""))
-        schedule = _build_schedule(_get(obj, "schedule", ""))
+        template = _parse_template(_get(obj, "template", ""))
+        schedule = _parse_schedule(_get(obj, "schedule", ""))
         objective_obj = _get(obj, "objective", "", {})
-        data = _build_data(_get(obj, "data", ""))
+        data = _parse_data(_get(obj, "data", ""))
         sampling_obj = _get(obj, "sampling", "", {})
         sampling = SamplingConfig(
             count=_get(sampling_obj, "count", "sampling.", 100),
@@ -144,14 +144,9 @@ def load_run_config(path) -> RunConfig:
 
 def override_seed(cfg: RunConfig, seed: int) -> RunConfig:
     """Apply a --seed override to the schedule, data, and sampling seeds."""
-    from dataclasses import replace
-
-    return RunConfig(
-        template=cfg.template,
+    return replace(
+        cfg,
         schedule=replace(cfg.schedule, seed=seed),
-        objective_k=cfg.objective_k,
-        data=DataConfig(spec=cfg.data.spec, seed=seed, train_frac=cfg.data.train_frac),
-        sampling=SamplingConfig(
-            count=cfg.sampling.count, seed=seed, recalibrate_bn=cfg.sampling.recalibrate_bn
-        ),
+        data=replace(cfg.data, seed=seed),
+        sampling=replace(cfg.sampling, seed=seed),
     )

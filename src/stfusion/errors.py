@@ -35,3 +35,8 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"training diverged (non-finite loss) at epoch {epoch}")
+
+    def __reduce__(self):
+        # Worker processes return errors pickled; rebuild from (epoch, message),
+        # not from `args`, which holds only the message.
+        return type(self), (self.epoch, self.args[0])

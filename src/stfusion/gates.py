@@ -120,7 +120,6 @@ class LayerGates:
 class GateSample:
     layers: list
     blocks: tuple = (1, 1)
-    hard: bool = True
 
     @classmethod
     def all_on(cls, config) -> "GateSample":
@@ -128,25 +127,18 @@ class GateSample:
         for _ in range(config.num_blocks):
             for j in range(1, config.layers_per_block + 1):
                 layers.append(LayerGates(edges=[1.0] * j, s=1.0, st=1.0))
-        return cls(layers=layers, blocks=(config.num_blocks, config.layers_per_block), hard=True)
+        return cls(layers=layers, blocks=(config.num_blocks, config.layers_per_block))
 
 
 def sample_gates_hard(params: GateParams, rng: np.random.Generator) -> GateSample:
     """Draw hard Bernoulli gates; each site kept with probability 1-p."""
     layers = []
-    for lg, n_edges in zip(params.layers, params.edge_counts):
-        probs = params_drop_triplet(lg)
-        pe, ps, pst = probs
+    for (pe, ps, pst), n_edges in zip(params.drop_probs(), params.edge_counts):
         edges = [1.0 if rng.random() > pe else 0.0 for _ in range(n_edges)]
         s = 1.0 if rng.random() > ps else 0.0
         st = 1.0 if rng.random() > pst else 0.0
         layers.append(LayerGates(edges=edges, s=s, st=st))
-    return GateSample(layers=layers, blocks=params.blocks, hard=True)
-
-
-def params_drop_triplet(lg: LayerGateLogits):
-    sig = lambda z: 1.0 / (1.0 + math.exp(-float(z.data)))
-    return sig(lg.edge), sig(lg.s), sig(lg.st)
+    return GateSample(layers=layers, blocks=params.blocks)
 
 
 def _concrete_site(logit_p: Tensor, u: float, tau: float) -> Tensor:
@@ -165,7 +157,7 @@ def sample_gates_concrete(params: GateParams, rng: np.random.Generator) -> GateS
         s = _concrete_site(lg.s, rng.random(), params.tau)
         st = _concrete_site(lg.st, rng.random(), params.tau)
         layers.append(LayerGates(edges=edges, s=s, st=st))
-    return GateSample(layers=layers, blocks=params.blocks, hard=False)
+    return GateSample(layers=layers, blocks=params.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +274,7 @@ def monte_carlo_unit_marginal(params: GateParams, layer: int, n: int, rng: np.ra
     """Empirical frequencies of the realized unit at one layer over n hard draws."""
     if n < 1:
         raise ContractError(f"need n >= 1 draws, got {n}")
-    lg = params.layers[layer - 1]
-    _, ps, pst = params_drop_triplet(lg)
+    _, ps, pst = params.drop_probs()[layer - 1]
     keep_s = rng.random(n) > ps
     keep_st = rng.random(n) > pst
     return {

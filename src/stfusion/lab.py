@@ -6,25 +6,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import data as D
 from . import gates as G
-from . import tensor as T
 from .errors import ContractError, TrainingDiverged
 from .gates import GateParams, GateSample, ObjectiveConfig, objective
-from .model import (
-    FusionStrategy,
-    FusionUnitKind,
-    Subnetwork,
-    TemplateNetwork,
-    materialize_strategy,
-    recover_strategy,
-    unit_name,
-)
+from .model import FusionStrategy, Subnetwork, TemplateNetwork, recover_strategy, unit_name
 from .tensor import SGD, Tensor, backward, softmax_cross_entropy
 
 
@@ -60,11 +50,18 @@ class StrategyEvaluation:
     mult_add_proxy: int
 
 
-def _accuracy(forward_fn, dataset: D.ClipDataset, batch_size: int = 64) -> float:
+_EVAL_BATCH = 64
+
+
+def _in_order(dataset: D.ClipDataset):
+    """Unshuffled (clips, labels) minibatches for evaluation passes; last partial batch kept."""
+    for start in range(0, len(dataset), _EVAL_BATCH):
+        yield dataset.clips[start:start + _EVAL_BATCH].astype(np.float64), dataset.labels[start:start + _EVAL_BATCH]
+
+
+def _accuracy(forward_fn, dataset: D.ClipDataset) -> float:
     correct = 0
-    for start in range(0, len(dataset), batch_size):
-        clips = dataset.clips[start:start + batch_size].astype(np.float64)
-        labels = dataset.labels[start:start + batch_size]
+    for clips, labels in _in_order(dataset):
         logits = forward_fn(Tensor(clips))
         correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
     return correct / len(dataset)
@@ -108,9 +105,9 @@ def train_template(
             backward(loss)
             opt_w.step()
         # epoch-level breakdown at the (fixed) initial gate parameters
-        nll_epoch = _epoch_nll(net, all_on, train, schedule)
+        nll_epoch = _epoch_nll(net, all_on, train)
         bd = objective(Tensor(np.float64(nll_epoch)), params, net.gated_parameters(), cfg)
-        history.append(_record("warmup", epoch, bd, template_accuracy(net, val)))
+        history.append(_record("warmup", epoch, bd.to_json(), template_accuracy(net, val)))
         epoch += 1
 
     opt = SGD(net.parameters() + params.trainable_tensors(), schedule.lr, momentum=0.9)
@@ -127,45 +124,26 @@ def train_template(
                 raise TrainingDiverged(epoch)
             backward(bd.total_tensor)
             opt.step()
-            bds.append(bd)
-        mean = lambda key: float(np.mean([getattr(b, key) for b in bds]))
-        record = {
-            "phase": "main",
-            "epoch": epoch,
-            "nll": mean("nll"),
-            "entropy_term": mean("entropy_term"),
-            "weight_term": mean("weight_term"),
-            "total": mean("total"),
-            "tau": params.tau,
-            "val_accuracy": template_accuracy(net, val),
-        }
-        history.append(record)
+            bds.append(bd.to_json())
+        mean = {key: float(np.mean([b[key] for b in bds])) for key in bds[0]}
+        history.append(_record("main", epoch, mean, template_accuracy(net, val), tau=params.tau))
         epoch += 1
     return history
 
 
-def _epoch_nll(net, gates, train, schedule) -> float:
+def _epoch_nll(net, gates, train) -> float:
     losses = []
     weights = []
-    for start in range(0, len(train), 64):
-        clips = train.clips[start:start + 64].astype(np.float64)
-        labels = train.labels[start:start + 64]
+    for clips, labels in _in_order(train):
         logits = net.forward(Tensor(clips), gates, training=False)
         losses.append(softmax_cross_entropy(logits, labels).item())
         weights.append(len(labels))
     return float(np.average(losses, weights=weights))
 
 
-def _record(phase, epoch, bd, val_acc):
-    return {
-        "phase": phase,
-        "epoch": epoch,
-        "nll": bd.nll,
-        "entropy_term": bd.entropy_term,
-        "weight_term": bd.weight_term,
-        "total": bd.total,
-        "val_accuracy": val_acc,
-    }
+def _record(phase, epoch, breakdown: dict, val_acc, **extra):
+    """One history record: an objective breakdown (`ObjectiveBreakdown.to_json` keys) and val accuracy."""
+    return {"phase": phase, "epoch": epoch, **breakdown, **extra, "val_accuracy": val_acc}
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +169,13 @@ def evaluate_strategy(
     """
     if len(val) == 0:
         raise ContractError("validation dataset is empty")
-    sub = materialize_strategy(net, strategy)
+    sub = Subnetwork(net, strategy)
     snapshot = None
     if recalibrate is not None:
         snapshot = [bn.state() for bn in net.batch_norms()]
         for bn in net.batch_norms():
             bn.initialized = False
-        for start in range(0, len(recalibrate), 64):
-            clips = recalibrate.clips[start:start + 64].astype(np.float64)
+        for clips, _ in _in_order(recalibrate):
             sub.forward(Tensor(clips), training=True)
     try:
         acc = _accuracy(lambda x: sub.forward(x, training=False), val)
@@ -241,12 +218,9 @@ def train_standalone(
 ) -> float:
     """Ground-truth oracle: train a fresh network holding only the strategy's
     branches and return the best validation accuracy seen."""
-    from .model import build_template
-
     if len(train) == 0:
         raise ContractError("training dataset is empty")
-    net = build_template(config, seed=schedule.seed)
-    sub = materialize_strategy(net, strategy)
+    sub = Subnetwork(TemplateNetwork(config, seed=schedule.seed), strategy)
     opt = SGD(sub.active_parameters(), schedule.lr, momentum=0.9)
     total_epochs = schedule.warmup_epochs + schedule.main_epochs
     best = 0.0
@@ -263,8 +237,18 @@ def train_standalone(
     return best
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of the ranks they span."""
+    order = np.argsort(x, kind="mergesort")
+    ordered = x[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    group = np.cumsum(starts)[np.argsort(order, kind="mergesort")]
+    bounds = np.r_[np.flatnonzero(starts), len(x)]  # ranks before each tie group, then n
+    return 0.5 * (bounds[group] + bounds[group - 1] + 1)
+
+
 def rank_correlation(a, b) -> float:
-    """Spearman rho with average ranks for ties.
+    """Spearman rho: Pearson correlation of average ranks (ties share a rank).
 
     A constant input carries no rank information; that case is reported as 0.0
     rather than NaN so downstream comparisons stay well-defined.
@@ -275,8 +259,8 @@ def rank_correlation(a, b) -> float:
         raise ContractError("rank_correlation needs at least 2 points")
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         return 0.0
-    rho = stats.spearmanr(a, b).statistic
-    return float(rho)
+    ranks = [_average_ranks(np.asarray(x, dtype=np.float64)) for x in (a, b)]
+    return float(np.corrcoef(*ranks)[1, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ and is ignored (False in recovered strategies) across block boundaries.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -175,7 +174,6 @@ class DenseLayer:
         kt, kh, kw = kernel_sizes
         self.global_index = global_index
         self.in_channels = in_channels
-        self.growth = growth
         self.kh, self.kw, self.kt = kh, kw, kt
         prefix = f"layer{global_index}"
         self.bn_s = BatchNorm(in_channels, f"{prefix}/S/bn")
@@ -201,12 +199,17 @@ class DenseLayer:
         h = T.relu(self.bn_st2(h, training))
         return T.conv1d_temporal(h, self.conv_st1d, (self.kt - 1) // 2)
 
-    def parameters(self):
-        return [
-            self.bn_s.gamma, self.bn_s.beta, self.conv_s,
+    def branch_parameters(self, unit):
+        """Parameters of the branches a fusion unit keeps (none when skipped)."""
+        s = [self.bn_s.gamma, self.bn_s.beta, self.conv_s]
+        st = [
             self.bn_st1.gamma, self.bn_st1.beta, self.conv_st2d,
             self.bn_st2.gamma, self.bn_st2.beta, self.conv_st1d,
         ]
+        return {None: [], FusionUnitKind.S: s, FusionUnitKind.ST: st, FusionUnitKind.S_PLUS_ST: s + st}[unit]
+
+    def parameters(self):
+        return self.branch_parameters(FusionUnitKind.S_PLUS_ST)
 
     def batch_norms(self):
         return [self.bn_s, self.bn_st1, self.bn_st2]
@@ -273,7 +276,6 @@ class TemplateNetwork:
         self.head = Parameter(
             _uniform(rng, (config.num_classes, channels), channels, gain=3.0), "head/weight"
         )
-        self.feature_channels = channels
 
     # -- parameter bookkeeping ---------------------------------------------
 
@@ -309,6 +311,30 @@ class TemplateNetwork:
 
     def layer_list(self):
         return [layer for block in self.blocks for layer in block]
+
+    def state_dict(self) -> dict:
+        """Every parameter and batch-norm running statistic, keyed by identifier."""
+        state = {p.identifier: p.data.copy() for p in self.parameters()}
+        for bn in self.batch_norms():
+            for key, value in bn.state().items():
+                state[f"{bn.prefix}/{key}"] = np.asarray(value, dtype=np.float64)
+        return state
+
+    def load_state_dict(self, state) -> None:
+        """Load a `state_dict`; its keys and every shape must match this template."""
+        own = self.state_dict()
+        if set(state) != set(own):
+            raise ShapeError(
+                f"state does not match the template: missing {sorted(set(own) - set(state))}, "
+                f"unexpected {sorted(set(state) - set(own))}"
+            )
+        for key, value in own.items():
+            if np.shape(state[key]) != value.shape:
+                raise ShapeError(f"{key} has shape {np.shape(state[key])}, template expects {value.shape}")
+        for p in self.parameters():
+            p.data = np.array(state[p.identifier], dtype=np.float64)
+        for bn in self.batch_norms():
+            bn.load_state({key: state[f"{bn.prefix}/{key}"] for key in bn.state()})
 
     # -- forward ------------------------------------------------------------
 
@@ -350,14 +376,6 @@ class TemplateNetwork:
         return T.pool_and_classify(h, self.head)
 
 
-def build_template(config: TemplateConfig, seed: int) -> TemplateNetwork:
-    return TemplateNetwork(config, seed)
-
-
-def forward_with_gates(net: TemplateNetwork, gates: GateSample, batch: Tensor, training: bool = False) -> Tensor:
-    return net.forward(batch, gates, training)
-
-
 # ---------------------------------------------------------------------------
 # strategy <-> gates
 # ---------------------------------------------------------------------------
@@ -388,7 +406,7 @@ def gates_from_strategy(strategy: FusionStrategy, blocks) -> GateSample:
         else:
             s, st = 1.0, 1.0
         layers.append(LayerGates(edges=edges, s=s, st=st))
-    return GateSample(layers=layers, blocks=tuple(blocks), hard=True)
+    return GateSample(layers=layers, blocks=tuple(blocks))
 
 
 def recover_strategy(gates: GateSample) -> FusionStrategy:
@@ -430,62 +448,32 @@ class Subnetwork:
     def forward(self, batch: Tensor, training: bool = False) -> Tensor:
         return self.net.forward(batch, self.gates, training)
 
-    def _active_layer_parts(self):
-        for layer, srec in zip(self.net.layer_list(), self.strategy.layers):
-            u = srec.u
-            s_on = u in (FusionUnitKind.S, FusionUnitKind.S_PLUS_ST)
-            st_on = u in (FusionUnitKind.ST, FusionUnitKind.S_PLUS_ST)
-            yield layer, s_on, st_on
-
     def active_parameters(self):
         params = [self.net.stem]
-        for layer, s_on, st_on in self._active_layer_parts():
-            if s_on:
-                params.extend([layer.bn_s.gamma, layer.bn_s.beta, layer.conv_s])
-            if st_on:
-                params.extend([
-                    layer.bn_st1.gamma, layer.bn_st1.beta, layer.conv_st2d,
-                    layer.bn_st2.gamma, layer.bn_st2.beta, layer.conv_st1d,
-                ])
+        for layer, srec in zip(self.net.layer_list(), self.strategy.layers):
+            params.extend(layer.branch_parameters(srec.u))
         for tr in self.net.transitions:
             params.extend(tr.parameters())
         params.extend([self.net.final_bn.gamma, self.net.final_bn.beta, self.net.head])
         return params
 
-    def active_parameter_identifiers(self):
-        return {p.identifier for p in self.active_parameters()}
-
     def active_param_count(self) -> int:
         return sum(p.data.size for p in self.active_parameters())
 
     def mult_add_proxy(self) -> int:
-        """Multiply-adds of the active convolutions and head for one clip."""
+        """Multiply-adds of the active convolutions and head for one clip.
+
+        Every convolution is stride-1 same-padded, so one costs its kernel
+        size times the output pixels (T*H*W at its block's resolution).
+        """
         cfg = self.net.config
         _, t, h, w = cfg.clip_shape
-        kt, kh, kw = cfg.kernel_sizes
-        total = 0
-
-        def conv2d_cost(out_ch, in_ch, hh, ww):
-            return out_ch * hh * ww * t * in_ch * kh * kw
-
-        total += conv2d_cost(cfg.stem_channels, cfg.clip_shape[0], h, w)
-        hh, ww = h, w
-        parts = list(self._active_layer_parts())
-        for b, block in enumerate(self.net.blocks):
-            for layer, s_on, st_on in parts[b * cfg.layers_per_block:(b + 1) * cfg.layers_per_block]:
-                if s_on:
-                    total += conv2d_cost(layer.growth, layer.in_channels, hh, ww)
-                if st_on:
-                    total += conv2d_cost(layer.growth, layer.in_channels, hh, ww)
-                    total += layer.growth * hh * ww * t * layer.growth * kt
-            if b < len(self.net.transitions):
-                tr = self.net.transitions[b]
-                total += tr.out_channels * hh * ww * t * tr.conv.data.shape[1]
-                hh //= 2
-                ww //= 2
-        total += self.net.config.num_classes * self.net.feature_channels
+        pixels = lambda block: t * (h // 2**block) * (w // 2**block)  # each transition halves H and W
+        total = self.net.stem.data.size * pixels(0) + self.net.head.data.size
+        for layer, srec in zip(self.net.layer_list(), self.strategy.layers):
+            block = (layer.global_index - 1) // cfg.layers_per_block
+            # conv kernels only: BN affine vectors are 1-D
+            total += pixels(block) * sum(p.data.size for p in layer.branch_parameters(srec.u) if p.data.ndim > 1)
+        for block, tr in enumerate(self.net.transitions):
+            total += pixels(block) * tr.conv.data.size
         return total
-
-
-def materialize_strategy(net: TemplateNetwork, strategy: FusionStrategy) -> Subnetwork:
-    return Subnetwork(net, strategy)

@@ -33,12 +33,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -402,6 +396,7 @@ class BatchNorm:
 
     def __init__(self, channels: int, prefix: str):
         self.channels = channels
+        self.prefix = prefix
         self.gamma = Parameter(np.ones(channels), f"{prefix}/gamma")
         self.beta = Parameter(np.zeros(channels), f"{prefix}/beta")
         self.running_mean = np.zeros(channels)
@@ -450,7 +445,7 @@ class BatchNorm:
 
         if not self.initialized:
             raise UninitializedStateError(
-                f"batch_norm {gamma.identifier.rsplit('/', 1)[0]} used in eval mode before any train-mode call"
+                f"batch_norm {self.prefix} used in eval mode before any train-mode call"
             )
         ivar = 1.0 / np.sqrt(self.running_var + self.EPS)
         xhat = (x.data - self.running_mean[None, :, None, None, None]) * ivar[None, :, None, None, None]
@@ -484,16 +479,15 @@ class BatchNorm:
 # ---------------------------------------------------------------------------
 
 class SGD:
-    """SGD with momentum and per-parameter weight decay.
+    """SGD with momentum.
 
-    Update: v <- momentum*v + grad + decay*w; w <- w - lr*v.
+    Update: v <- momentum*v + grad; w <- w - lr*v.
     """
 
-    def __init__(self, params, lr: float, momentum: float = 0.0, weight_decay=None):
+    def __init__(self, params, lr: float, momentum: float = 0.0):
         self.params = list(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.weight_decay = dict(weight_decay or {})
         self._velocity = {}
 
     def step(self):
@@ -501,9 +495,7 @@ class SGD:
             if p.grad is None:
                 name = getattr(p, "identifier", "<tensor>")
                 raise UninitializedStateError(f"sgd_step before backward: parameter {name} has no gradient")
-            decay = self.weight_decay.get(getattr(p, "identifier", None), 0.0)
-            g = p.grad + decay * p.data
             v = self._velocity.get(id(p))
-            v = g if v is None else self.momentum * v + g
+            v = p.grad.copy() if v is None else self.momentum * v + p.grad
             self._velocity[id(p)] = v
             p.data -= self.lr * v

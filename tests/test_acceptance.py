@@ -28,12 +28,11 @@ from stfusion.model import (
     FusionStrategy,
     FusionUnitKind,
     StrategyLayer,
+    Subnetwork,
     TemplateConfig,
-    build_template,
+    TemplateNetwork,
     enumerate_all_strategies,
-    forward_with_gates,
     gates_from_strategy,
-    materialize_strategy,
     recover_strategy,
 )
 from conftest import fd_gradient, linear_probe, max_rel_error
@@ -222,7 +221,7 @@ def test_criterion_4_sampling_consistency():
 def test_criterion_5_strategy_round_trip():
     cfg = TemplateConfig(num_blocks=1, layers_per_block=2, growth_channels=4,
                          stem_channels=4, clip_shape=(1, 4, 8, 8), num_classes=3)
-    net = build_template(cfg, seed=0)
+    net = TemplateNetwork(cfg, seed=0)
     batch = T.Tensor(np.random.default_rng(3).normal(size=(2,) + cfg.clip_shape))
     from stfusion.gates import GateSample
     net.forward(batch, GateSample.all_on(cfg), training=True)  # seed BN statistics
@@ -232,8 +231,8 @@ def test_criterion_5_strategy_round_trip():
         gates = gates_from_strategy(strat, (cfg.num_blocks, cfg.layers_per_block))
         recovered = recover_strategy(gates)
         ok &= recovered.to_json() == strat.to_json()
-        sub = materialize_strategy(net, strat)
-        direct = forward_with_gates(net, gates, batch).data
+        sub = Subnetwork(net, strat)
+        direct = net.forward(batch, gates, training=False).data
         ok &= np.array_equal(sub.forward(batch, training=False).data, direct)
 
     rng = np.random.default_rng(9)
@@ -242,8 +241,8 @@ def test_criterion_5_strategy_round_trip():
         gates = sample_gates_hard(raw, rng)
         recovered = recover_strategy(gates)
         regates = gates_from_strategy(recovered, (cfg.num_blocks, cfg.layers_per_block))
-        a = forward_with_gates(net, gates, batch).data
-        b = forward_with_gates(net, regates, batch).data
+        a = net.forward(batch, gates, training=False).data
+        b = net.forward(batch, regates, training=False).data
         ok &= np.array_equal(a, b)
     _report(5, "strategy materialize/recover round-trip is bitwise", ok)
 
@@ -287,7 +286,7 @@ def test_criterion_7_posterior_vs_oracle():
         ds = D.generate_synthetic(spec, seed=seed)
         train, val = D.split(ds, 0.5, seed=seed)
         sched = _schedule(seed, warmup=5, main=15)
-        net = build_template(cfg, seed=seed)
+        net = TemplateNetwork(cfg, seed=seed)
         params = GateParams.for_config(cfg, init_drop=0.1)
         L.train_template(net, params, train, val, sched, ObjectiveConfig(k=1.0, n_train=len(train)))
 
@@ -325,7 +324,7 @@ def test_criterion_8_directional_preference():
             ds = D.generate_synthetic(spec, seed=seed)
             train, val = D.split(ds, 0.5, seed=seed)
             sched = _schedule(seed, warmup=5, main=40)
-            net = build_template(EXP_TEMPLATE, seed=seed)
+            net = TemplateNetwork(EXP_TEMPLATE, seed=seed)
             params = GateParams.for_config(EXP_TEMPLATE, init_drop=0.1)
             L.train_template(net, params, train, val, sched,
                              ObjectiveConfig(k=2.0, n_train=len(train)))

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -202,6 +206,39 @@ class TestOracle:
         assert -1.0 <= rho["spearman_rho"] <= 1.0
         assert len(rho["oracle_accuracies"]) == 3
 
+    def test_jobs_2_matches_jobs_1(self, runner, tmp_path):
+        cfg = base_config()
+        cfg["template"]["layers_per_block"] = 1
+        cfg["schedule"]["warmup_epochs"] = 1
+        cfg["schedule"]["main_epochs"] = 1
+        cfg_path = write_config(tmp_path, cfg)
+        wd = tmp_path / "run"
+        invoke(runner, ["generate", "--config", cfg_path, "--workdir", str(wd)])
+        invoke(runner, ["train", "--config", cfg_path, "--workdir", str(wd)])
+        outputs = []
+        for jobs in ("1", "2"):
+            result = invoke(runner, ["oracle", "--config", cfg_path, "--workdir", str(wd), "--jobs", jobs])
+            assert result.exit_code == 0
+            outputs.append([(wd / name).read_bytes() for name in (cli.ORACLE_FILE, cli.RHO_FILE)])
+        assert outputs[0] == outputs[1]
+
+    def test_divergence_exit_3_at_any_jobs(self, runner, tmp_path):
+        cfg_path = write_config(tmp_path, base_config())
+        wd = tmp_path / "run"
+        invoke(runner, ["generate", "--config", cfg_path, "--workdir", str(wd)])
+        invoke(runner, ["train", "--config", cfg_path, "--workdir", str(wd)])
+        cfg = base_config()
+        cfg["schedule"]["lr"] = 1e300
+        oracle_path = write_config(tmp_path, cfg, name="oracle.json")
+        messages = []
+        for jobs in ("1", "2"):
+            result = runner.invoke(cli.main, ["oracle", "--config", oracle_path, "--workdir", str(wd), "--jobs", jobs])
+            assert result.exit_code == cli.EXIT_DIVERGED, result.output
+            lines = result.output.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("oracle training diverged: "), result.output
+            messages.append(lines[0])
+        assert messages[0] == messages[1]
+
     def test_size_guard_exit_5(self, runner, tmp_path):
         cfg = base_config()
         cfg["template"]["layers_per_block"] = 11  # 3^11 strategies trips the guard
@@ -209,3 +246,11 @@ class TestOracle:
         result = runner.invoke(cli.main, ["oracle", "--config", cfg_path, "--workdir", str(tmp_path / "run")])
         assert result.exit_code == cli.EXIT_GUARD
         assert "size guard" in result.output
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, stfusion.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -18,7 +18,7 @@ from stfusion.gates import (
     temperature_schedule,
     unit_composition,
 )
-from stfusion.model import TemplateConfig, build_template
+from stfusion.model import TemplateConfig, TemplateNetwork
 from conftest import fd_gradient
 
 CFG = TemplateConfig(
@@ -124,7 +124,7 @@ class TestObjective:
         return T.Tensor(np.float64(value))
 
     def test_p_one_zeroes_both_regularizers(self):
-        net = build_template(CFG, seed=0)
+        net = TemplateNetwork(CFG, seed=0)
         params = GateParams.for_config(CFG)
         set_all_drop(params, 1.0)
         cfg = ObjectiveConfig(k=2.0, n_train=10)
@@ -148,7 +148,7 @@ class TestObjective:
         assert abs(single_site - (-0.34657359)) < 1e-7
 
     def test_p_to_zero_boundary(self):
-        net = build_template(CFG, seed=0)
+        net = TemplateNetwork(CFG, seed=0)
         params = GateParams.for_config(CFG)
         set_all_drop(params, 0.0)  # logit -60, p ~ 1e-26
         cfg = ObjectiveConfig(k=3.0, n_train=7)
@@ -158,7 +158,7 @@ class TestObjective:
         assert abs(bd.weight_term - expected) < 1e-9 * max(1.0, expected)
 
     def test_total_is_exact_sum(self):
-        net = build_template(CFG, seed=1)
+        net = TemplateNetwork(CFG, seed=1)
         params = GateParams.for_config(CFG, init_drop=0.23)
         bd = objective(self._nll(0.7), params, net.gated_parameters(), ObjectiveConfig(k=1.5, n_train=12))
         assert bd.total == (bd.nll + bd.entropy_term) + bd.weight_term

@@ -1,18 +1,20 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from stfusion import data as D
 from stfusion import lab as L
-from stfusion.errors import ContractError
+from stfusion.errors import ContractError, TrainingDiverged
 from stfusion.gates import GateParams, ObjectiveConfig
 from stfusion.model import (
     FusionStrategy,
     StrategyLayer,
     FusionUnitKind,
     TemplateConfig,
-    build_template,
+    TemplateNetwork,
     strategy_from_literature,
 )
 
@@ -66,6 +68,32 @@ class TestRankCorrelation:
         b = [1.0, 4.0, 0.5, 2.0]
         assert L.rank_correlation(a, b) == L.rank_correlation(a, [np.exp(x) for x in b])
 
+    @given(
+        st.integers(min_value=2, max_value=30).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False)),
+                    st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False)),
+                ),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+    def test_matches_scipy_bitwise(self, pairs):
+        stats = pytest.importorskip("scipy.stats")
+        a, b = map(list, zip(*pairs))
+        assume(np.ptp(a) > 0 and np.ptp(b) > 0)
+        expected = stats.spearmanr(a, b).statistic
+        assert np.float64(L.rank_correlation(a, b)).tobytes() == np.float64(expected).tobytes()
+
+
+class TestTrainingDiverged:
+    def test_pickle_round_trip(self):
+        for exc in (TrainingDiverged(3), TrainingDiverged(5, "custom message")):
+            back = pickle.loads(pickle.dumps(exc))
+            assert (type(back), back.epoch, str(back)) == (TrainingDiverged, exc.epoch, str(exc))
+        assert str(TrainingDiverged(3)) == "training diverged (non-finite loss) at epoch 3"
+
 
 class TestSelectBest:
     def test_argmax(self):
@@ -91,7 +119,7 @@ class TestSelectBest:
 
 class TestSampling:
     def test_degenerate_posterior_always_full(self):
-        net = build_template(CFG, seed=0)
+        net = TemplateNetwork(CFG, seed=0)
         params = GateParams.for_config(CFG, init_drop=0.0)
         for lg in params.layers:
             lg.edge.data = np.float64(-60.0)
@@ -102,7 +130,7 @@ class TestSampling:
             assert strat.to_json() == full.to_json()
 
     def test_count_and_determinism(self):
-        net = build_template(CFG, seed=0)
+        net = TemplateNetwork(CFG, seed=0)
         params = GateParams.for_config(CFG, init_drop=0.5)
         a = L.sample_strategies(net, params, 30, np.random.default_rng(7))
         b = L.sample_strategies(net, params, 30, np.random.default_rng(7))
@@ -117,7 +145,7 @@ class TestEvaluateStrategy:
 
     def test_full_strategy_matches_template(self, tiny_splits):
         train, val = tiny_splits
-        net = build_template(CFG, seed=1)
+        net = TemplateNetwork(CFG, seed=1)
         sched = L.TrainSchedule(warmup_epochs=2, main_epochs=0, batch_size=8, lr=0.05, seed=1)
         L.train_template(net, GateParams.for_config(CFG), train, val, sched,
                          ObjectiveConfig(k=1.0, n_train=len(train)))
@@ -127,7 +155,7 @@ class TestEvaluateStrategy:
 
     def test_evaluation_leaves_network_untouched(self, tiny_splits):
         train, val = tiny_splits
-        net = build_template(CFG, seed=1)
+        net = TemplateNetwork(CFG, seed=1)
         sched = L.TrainSchedule(warmup_epochs=1, main_epochs=0, batch_size=8, seed=1)
         L.train_template(net, GateParams.for_config(CFG), train, val, sched,
                          ObjectiveConfig(k=1.0, n_train=len(train)))
@@ -139,7 +167,7 @@ class TestEvaluateStrategy:
 
     def test_repeat_evaluation_identical(self, tiny_splits):
         train, val = tiny_splits
-        net = build_template(CFG, seed=2)
+        net = TemplateNetwork(CFG, seed=2)
         sched = L.TrainSchedule(warmup_epochs=1, main_epochs=0, batch_size=8, seed=2)
         L.train_template(net, GateParams.for_config(CFG), train, val, sched,
                          ObjectiveConfig(k=1.0, n_train=len(train)))
@@ -151,7 +179,7 @@ class TestEvaluateStrategy:
 
     def test_empty_val_rejected(self, tiny_splits):
         train, _ = tiny_splits
-        net = build_template(CFG, seed=0)
+        net = TemplateNetwork(CFG, seed=0)
         empty = D.ClipDataset(clips=train.clips[:0], labels=train.labels[:0], manifest=train.manifest)
         with pytest.raises(ContractError):
             L.evaluate_strategy(net, strategy_from_literature("top_heavy", 2), empty)
@@ -160,7 +188,7 @@ class TestEvaluateStrategy:
 class TestTrainTemplate:
     def test_warmup_reduces_nll(self, tiny_splits):
         train, val = tiny_splits
-        net = build_template(CFG, seed=3)
+        net = TemplateNetwork(CFG, seed=3)
         sched = L.TrainSchedule(warmup_epochs=6, main_epochs=0, batch_size=8, lr=0.05, seed=3)
         hist = L.train_template(net, GateParams.for_config(CFG), train, val, sched,
                                 ObjectiveConfig(k=1.0, n_train=len(train)))
@@ -170,7 +198,7 @@ class TestTrainTemplate:
 
     def test_history_schema_and_phases(self, tiny_splits):
         train, val = tiny_splits
-        net = build_template(CFG, seed=4)
+        net = TemplateNetwork(CFG, seed=4)
         sched = L.TrainSchedule(warmup_epochs=2, main_epochs=3, batch_size=8, lr=0.02,
                                 lr_decay_epochs=(4,), seed=4)
         hist = L.train_template(net, GateParams.for_config(CFG), train, val, sched,
@@ -185,7 +213,7 @@ class TestTrainTemplate:
         train, val = tiny_splits
 
         def run():
-            net = build_template(CFG, seed=5)
+            net = TemplateNetwork(CFG, seed=5)
             params = GateParams.for_config(CFG, init_drop=0.1)
             sched = L.TrainSchedule(warmup_epochs=2, main_epochs=2, batch_size=8, lr=0.02, seed=5)
             hist = L.train_template(net, params, train, val, sched,
@@ -196,7 +224,7 @@ class TestTrainTemplate:
 
     def test_empty_train_rejected(self, tiny_splits):
         train, val = tiny_splits
-        net = build_template(CFG, seed=0)
+        net = TemplateNetwork(CFG, seed=0)
         empty = D.ClipDataset(clips=train.clips[:0], labels=train.labels[:0], manifest=train.manifest)
         with pytest.raises(ContractError):
             L.train_template(net, GateParams.for_config(CFG), empty, val,

@@ -1,21 +1,21 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from stfusion import tensor as T
-from stfusion.errors import ConfigurationError, ContractError, SizeGuardError
+from stfusion.errors import ConfigurationError, ContractError, ShapeError, SizeGuardError
 from stfusion.gates import GateParams, GateSample, LayerGates, sample_gates_hard
 from stfusion.model import (
     FusionStrategy,
     FusionUnitKind,
     StrategyLayer,
+    Subnetwork,
     TemplateConfig,
-    build_template,
+    TemplateNetwork,
     enumerate_all_strategies,
-    forward_with_gates,
     gates_from_strategy,
-    materialize_strategy,
     recover_strategy,
     strategy_from_literature,
 )
@@ -64,7 +64,7 @@ class TestBuildTemplate:
     def test_single_layer_construction_counts(self):
         cfg = TemplateConfig(num_blocks=1, layers_per_block=1, growth_channels=2,
                              stem_channels=2, clip_shape=(1, 4, 6, 6), num_classes=2)
-        net = build_template(cfg, seed=0)
+        net = TemplateNetwork(cfg, seed=0)
         params = GateParams.for_config(cfg)
         assert sum(len(lg.edges) + 2 for lg in GateSample.all_on(cfg).layers) == 3
         assert params.num_layers == 1
@@ -74,7 +74,7 @@ class TestBuildTemplate:
         assert layer.conv_st1d.data.shape == (2, 2, 3)
 
     def test_gate_site_count_two_by_two(self):
-        net = build_template(TWO_BLOCK, seed=0)
+        net = TemplateNetwork(TWO_BLOCK, seed=0)
         sample = GateSample.all_on(TWO_BLOCK)
         assert len(sample.layers) == 4
         # three gate sites per layer (edge group, S, ST)
@@ -82,11 +82,11 @@ class TestBuildTemplate:
 
     @pytest.mark.parametrize("cfg", [SMALL, TWO_BLOCK])
     def test_parameter_count_closed_form(self, cfg):
-        net = build_template(cfg, seed=3)
+        net = TemplateNetwork(cfg, seed=3)
         assert sum(p.data.size for p in net.parameters()) == expected_param_count(cfg)
 
     def test_unique_identifiers(self):
-        net = build_template(TWO_BLOCK, seed=0)
+        net = TemplateNetwork(TWO_BLOCK, seed=0)
         ids = [p.identifier for p in net.parameters()]
         assert len(ids) == len(set(ids))
 
@@ -96,48 +96,77 @@ class TestBuildTemplate:
                            stem_channels=2, clip_shape=(1, 4, 6, 6), num_classes=2)
 
     def test_seeded_init_deterministic(self):
-        a = build_template(SMALL, seed=5)
-        b = build_template(SMALL, seed=5)
+        a = TemplateNetwork(SMALL, seed=5)
+        b = TemplateNetwork(SMALL, seed=5)
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa.data, pb.data)
 
     def test_dense_shape_safety(self):
-        net = build_template(TWO_BLOCK, seed=0)
+        net = TemplateNetwork(TWO_BLOCK, seed=0)
         for block_idx, block in enumerate(net.blocks):
             for j, layer in enumerate(block):
                 block_in = net.config.stem_channels if block_idx == 0 else net.transitions[block_idx - 1].out_channels
                 assert layer.in_channels == block_in + j * net.config.growth_channels
 
 
+class TestStateDict:
+    def test_load_into_other_seed_reproduces_forward(self):
+        source = TemplateNetwork(TWO_BLOCK, seed=0)
+        rng = np.random.default_rng(11)
+        gates = GateSample.all_on(TWO_BLOCK)
+        for _ in range(2):  # move BN running statistics off their first-batch values
+            source.forward(T.Tensor(rng.normal(size=(3,) + TWO_BLOCK.clip_shape)), gates, training=True)
+        state = source.state_dict()
+        assert {"stem/conv2d", "layer1/S/bn/running_mean", "final_bn/initialized"} <= set(state)
+        target = TemplateNetwork(TWO_BLOCK, seed=1)
+        target.load_state_dict(state)
+        x = T.Tensor(rng.normal(size=(2,) + TWO_BLOCK.clip_shape))
+        assert np.array_equal(target.forward(x, gates, training=False).data,
+                              source.forward(x, gates, training=False).data)
+        for a, b in zip(source.batch_norms(), target.batch_norms()):
+            assert np.array_equal(a.running_mean, b.running_mean)
+            assert np.array_equal(a.running_var, b.running_var)
+            assert a.initialized and b.initialized
+
+    def test_growth_mismatch_names_parameter(self):
+        wider = TemplateNetwork(dataclasses.replace(SMALL, growth_channels=5), seed=0)
+        with pytest.raises(ShapeError, match="layer1/S/conv2d"):
+            TemplateNetwork(SMALL, seed=0).load_state_dict(wider.state_dict())
+
+    def test_layout_mismatch_names_keys(self):
+        with pytest.raises(ShapeError, match="transition1/conv2d"):
+            TemplateNetwork(SMALL, seed=0).load_state_dict(TemplateNetwork(TWO_BLOCK, seed=0).state_dict())
+
+
 class TestForwardWithGates:
     def test_all_ones_equals_ungated(self, rng):
-        net = build_template(SMALL, seed=0)
+        net = TemplateNetwork(SMALL, seed=0)
         x = warm_up_batch_norms(net, rng)
         full = strategy_from_literature("mixed_everywhere", SMALL.total_layers)
-        a = forward_with_gates(net, GateSample.all_on(SMALL), x).data
-        b = materialize_strategy(net, full).forward(x).data
+        a = net.forward(x, GateSample.all_on(SMALL), training=False).data
+        b = Subnetwork(net, full).forward(x).data
         assert np.array_equal(a, b)
 
     def test_dropped_s_branch_ignores_s_kernels(self, rng):
-        net = build_template(SMALL, seed=0)
+        net = TemplateNetwork(SMALL, seed=0)
         x = warm_up_batch_norms(net, rng)
         gates = GateSample.all_on(SMALL)
         for lg in gates.layers:
             lg.s = 0.0
-        before = forward_with_gates(net, gates, x).data.copy()
+        before = net.forward(x, gates, training=False).data.copy()
         for layer in net.layer_list():
             layer.conv_s.data += 100.0
-        after = forward_with_gates(net, gates, x).data
+        after = net.forward(x, gates, training=False).data
         assert np.array_equal(before, after)
 
     def test_half_gate_matches_hand_splice(self, rng):
         cfg = TemplateConfig(num_blocks=1, layers_per_block=1, growth_channels=3,
                              stem_channels=2, clip_shape=(1, 4, 6, 6), num_classes=2)
-        net = build_template(cfg, seed=2)
+        net = TemplateNetwork(cfg, seed=2)
         x = warm_up_batch_norms(net, rng)
         gates = GateSample.all_on(cfg)
         gates.layers[0].s = 0.5
-        got = forward_with_gates(net, gates, x).data
+        got = net.forward(x, gates, training=False).data
 
         # hand-spliced forward with the S branch activation halved
         layer = net.layer_list()[0]
@@ -150,29 +179,29 @@ class TestForwardWithGates:
         assert np.array_equal(got, expected)
 
     def test_gate_count_mismatch(self, rng):
-        net = build_template(SMALL, seed=0)
+        net = TemplateNetwork(SMALL, seed=0)
         x = T.Tensor(rng.normal(size=(1, 1, 4, 8, 8)))
         gates = GateSample.all_on(SMALL)
         gates.layers = gates.layers[:-1]
         with pytest.raises(ContractError):
-            forward_with_gates(net, gates, x, training=True)
+            net.forward(x, gates, training=True)
 
 
 class TestMaterializeAndRecover:
     def test_full_strategy_equals_ungated(self, rng):
-        net = build_template(SMALL, seed=1)
+        net = TemplateNetwork(SMALL, seed=1)
         x = warm_up_batch_norms(net, rng)
         full = strategy_from_literature("mixed_everywhere", 2)
-        sub = materialize_strategy(net, full)
-        assert np.array_equal(sub.forward(x).data, forward_with_gates(net, GateSample.all_on(SMALL), x).data)
+        sub = Subnetwork(net, full)
+        assert np.array_equal(sub.forward(x).data, net.forward(x, GateSample.all_on(SMALL), training=False).data)
 
     def test_all_skipped_depends_only_on_stem_and_head(self, rng):
-        net = build_template(SMALL, seed=1)
+        net = TemplateNetwork(SMALL, seed=1)
         x = warm_up_batch_norms(net, rng)
         skipped = FusionStrategy(layers=tuple(
             StrategyLayer(l=i, v=(True,) * i, u=None) for i in range(1, 3)
         ))
-        sub = materialize_strategy(net, skipped)
+        sub = Subnetwork(net, skipped)
         before = sub.forward(x).data.copy()
         for layer in net.layer_list():
             layer.conv_s.data += 7.0
@@ -181,12 +210,12 @@ class TestMaterializeAndRecover:
         assert np.array_equal(sub.forward(x).data, before)
 
     def test_all_nine_strategies_match_hard_gates(self, rng):
-        net = build_template(SMALL, seed=4)
+        net = TemplateNetwork(SMALL, seed=4)
         x = warm_up_batch_norms(net, rng)
         for strategy in enumerate_all_strategies(2):
-            sub = materialize_strategy(net, strategy)
+            sub = Subnetwork(net, strategy)
             gates = gates_from_strategy(strategy, (1, 2))
-            assert np.array_equal(sub.forward(x).data, forward_with_gates(net, gates, x).data)
+            assert np.array_equal(sub.forward(x).data, net.forward(x, gates, training=False).data)
 
     def test_recover_truth_table_all_on(self):
         cfg = SMALL
@@ -220,20 +249,20 @@ class TestMaterializeAndRecover:
                 assert (a.s, a.st) == (b.s, b.st)
 
     def test_materialize_recover_forward_identity(self, rng):
-        net = build_template(TWO_BLOCK, seed=9)
+        net = TemplateNetwork(TWO_BLOCK, seed=9)
         x = warm_up_batch_norms(net, rng)
         params = GateParams.for_config(TWO_BLOCK, init_drop=0.4)
         grng = np.random.default_rng(11)
         for _ in range(100):
             g = sample_gates_hard(params, grng)
-            sub = materialize_strategy(net, recover_strategy(g))
-            assert np.array_equal(sub.forward(x).data, forward_with_gates(net, g, x).data)
+            sub = Subnetwork(net, recover_strategy(g))
+            assert np.array_equal(sub.forward(x).data, net.forward(x, g, training=False).data)
 
     def test_monotone_capacity_subsets(self):
-        net = build_template(SMALL, seed=0)
+        net = TemplateNetwork(SMALL, seed=0)
         def ids(unit):
             layers = tuple(StrategyLayer(l=i, v=(True,) * i, u=unit) for i in range(1, 3))
-            return materialize_strategy(net, FusionStrategy(layers=layers)).active_parameter_identifiers()
+            return {p.identifier for p in Subnetwork(net, FusionStrategy(layers=layers)).active_parameters()}
         s_ids = ids(FusionUnitKind.S)
         both_ids = ids(FusionUnitKind.S_PLUS_ST)
         template_ids = {p.identifier for p in net.parameters()}

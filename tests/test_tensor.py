@@ -321,13 +321,6 @@ class TestSGD:
         # v2 = 0.9*2 + 1 = 2.8, w = 0.8 - 0.28 = 0.52
         assert abs(w.data - 0.52) < 1e-12
 
-    def test_weight_decay(self):
-        w = T.Parameter(np.array(2.0), "w")
-        w.grad = np.array(0.0)
-        T.SGD([w], lr=0.1, weight_decay={"w": 0.5}).step()
-        # v = 0 + 0.5*2 = 1, w = 2 - 0.1 = 1.9
-        assert abs(w.data - 1.9) < 1e-15
-
     def test_step_before_backward_errors(self):
         w = T.Parameter(np.array(1.0), "w")
         with pytest.raises(UninitializedStateError, match="no gradient"):
