@@ -4,7 +4,7 @@
              [--workdir PATH] [--seed INT] [--jobs INT]
 
 Exit codes: 0 ok, 2 config error, 3 training divergence, 4 missing artifact,
-5 enumeration size guard.
+5 enumeration size guard, 6 artifact does not match config.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import data as D
 from . import lab
 from .config import RunConfig, load_run_config, override_seed
-from .errors import ConfigurationError, SizeGuardError, TrainingDiverged
+from .errors import ConfigurationError, ShapeError, SizeGuardError, TrainingDiverged
 from .gates import GateParams, ObjectiveConfig
 from .model import FusionStrategy, TemplateNetwork, enumerate_all_strategies
 
@@ -28,6 +28,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_MISSING = 4
 EXIT_GUARD = 5
+EXIT_MISMATCH = 6
 
 DATASET_FILE = "dataset.stfd"
 WEIGHTS_FILE = "weights.npz"
@@ -71,7 +72,11 @@ def _save_weights(net, path):
 
 def _load_weights(net, path):
     with np.load(path) as archive:
-        net.load_state_dict(dict(archive))
+        try:
+            net.load_state_dict(dict(archive))
+        except ShapeError as exc:
+            click.echo(f"artifact does not match config: {path}: {exc}", err=True)
+            sys.exit(EXIT_MISMATCH)
 
 
 config_option = click.option("--config", "config_path", required=True, type=click.Path())

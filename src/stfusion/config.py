@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .data import SynthSpec
 from .errors import ConfigurationError
@@ -13,8 +13,8 @@ from .model import TemplateConfig
 @dataclass(frozen=True)
 class DataConfig:
     spec: SynthSpec
-    seed: int
-    train_frac: float
+    seed: int = 0
+    train_frac: float = 0.75
 
     def __post_init__(self):
         if not 0.0 < self.train_frac < 1.0:
@@ -45,75 +45,35 @@ class RunConfig:
             raise ConfigurationError(f"objective.k must be positive, got {self.objective_k}")
 
 
-_REQUIRED = object()
-
-
-def _get(obj: dict, key: str, path: str, default=_REQUIRED):
+def _get(obj: dict, key: str, path: str, default=MISSING):
     if key not in obj:
-        if default is not _REQUIRED:
+        if default is not MISSING:
             return default
         raise ConfigurationError(f"missing config field: {path}{key}")
     return obj[key]
 
 
-def _parse_template(obj: dict, path="template.") -> TemplateConfig:
-    return TemplateConfig(
-        num_blocks=_get(obj, "num_blocks", path),
-        layers_per_block=_get(obj, "layers_per_block", path),
-        growth_channels=_get(obj, "growth_channels", path),
-        stem_channels=_get(obj, "stem_channels", path),
-        clip_shape=tuple(_get(obj, "clip_shape", path)),
-        num_classes=_get(obj, "num_classes", path),
-        kernel_sizes=tuple(_get(obj, "kernel_sizes", path, [3, 3, 3])),
-    )
-
-
-def _parse_schedule(obj: dict, path="schedule.") -> TrainSchedule:
-    return TrainSchedule(
-        warmup_epochs=_get(obj, "warmup_epochs", path, 10),
-        main_epochs=_get(obj, "main_epochs", path, 30),
-        batch_size=_get(obj, "batch_size", path, 16),
-        lr=_get(obj, "lr", path, 0.05),
-        lr_decay_epochs=tuple(_get(obj, "lr_decay_epochs", path, [20])),
-        lr_decay_factor=_get(obj, "lr_decay_factor", path, 0.1),
-        seed=_get(obj, "seed", path, 0),
-    )
-
-
-def _parse_data(obj: dict, path="data.") -> DataConfig:
-    spec = SynthSpec(
-        mode=_get(obj, "mode", path),
-        classes=_get(obj, "classes", path),
-        clips_per_class=_get(obj, "clips_per_class", path),
-        clip_shape=tuple(_get(obj, "clip_shape", path)),
-        noise_sigma=_get(obj, "noise_sigma", path, 0.0),
-    )
-    return DataConfig(
-        spec=spec,
-        seed=_get(obj, "seed", path, 0),
-        train_frac=_get(obj, "train_frac", path, 0.75),
-    )
+def _build(cls, obj: dict, path: str, **given):
+    """Build dataclass `cls` from `obj`: `given` fields as passed, the rest read
+    from `obj` by field name (absent keys take the field's default)."""
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        value = _get(obj, f.name, path, f.default)
+        kwargs[f.name] = tuple(value) if f.type in ("tuple", tuple) else value
+    return cls(**kwargs)
 
 
 def parse_run_config(obj: dict) -> RunConfig:
     try:
-        template = _parse_template(_get(obj, "template", ""))
-        schedule = _parse_schedule(_get(obj, "schedule", ""))
-        objective_obj = _get(obj, "objective", "", {})
-        data = _parse_data(_get(obj, "data", ""))
-        sampling_obj = _get(obj, "sampling", "", {})
-        sampling = SamplingConfig(
-            count=_get(sampling_obj, "count", "sampling.", 100),
-            seed=_get(sampling_obj, "seed", "sampling.", 0),
-            recalibrate_bn=_get(sampling_obj, "recalibrate_bn", "sampling.", False),
-        )
-        cfg = RunConfig(
-            template=template,
-            schedule=schedule,
-            objective_k=_get(objective_obj, "k", "objective.", 1.0),
-            data=data,
-            sampling=sampling,
-        )
+        template = _build(TemplateConfig, _get(obj, "template", ""), "template.")
+        schedule = _build(TrainSchedule, _get(obj, "schedule", ""), "schedule.")
+        objective_k = _get(_get(obj, "objective", "", {}), "k", "objective.", 1.0)
+        data_obj = _get(obj, "data", "")
+        data = _build(DataConfig, data_obj, "data.", spec=_build(SynthSpec, data_obj, "data."))
+        sampling = _build(SamplingConfig, _get(obj, "sampling", "", {}), "sampling.")
+        cfg = RunConfig(template, schedule, objective_k, data, sampling)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigurationError):
             raise

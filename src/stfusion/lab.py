@@ -73,6 +73,12 @@ def template_accuracy(net: TemplateNetwork, dataset: D.ClipDataset) -> float:
     return _accuracy(lambda x: net.forward(x, gates, training=False), dataset)
 
 
+# A diverging run overflows on its way to the non-finite loss that raises
+# TrainingDiverged; that exception is the report, so NumPy stays quiet.
+_quiet_divergence = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_divergence
 def train_template(
     net: TemplateNetwork,
     params: GateParams,
@@ -191,24 +197,23 @@ def evaluate_strategy(
     )
 
 
+def _rank_key(ev: StrategyEvaluation) -> tuple:
+    """Best first: higher accuracy, then cheaper compute, then fewer params."""
+    return (-ev.val_accuracy, ev.mult_add_proxy, ev.active_param_count)
+
+
 def select_best(evals: list) -> StrategyEvaluation:
-    """Argmax accuracy; ties broken by cheaper compute, then fewer params."""
+    """The first evaluation with the smallest `_rank_key`."""
     if not evals:
         raise ContractError("select_best requires a nonempty list")
-    best = evals[0]
-    for ev in evals[1:]:
-        if ev.val_accuracy > best.val_accuracy:
-            best = ev
-        elif ev.val_accuracy == best.val_accuracy:
-            if (ev.mult_add_proxy, ev.active_param_count) < (best.mult_add_proxy, best.active_param_count):
-                best = ev
-    return best
+    return min(evals, key=_rank_key)
 
 
 # ---------------------------------------------------------------------------
 # standalone oracle
 # ---------------------------------------------------------------------------
 
+@_quiet_divergence
 def train_standalone(
     strategy: FusionStrategy,
     config,
@@ -325,11 +330,8 @@ def layer_preference_report(params: GateParams, best: FusionStrategy) -> Prefere
 
 
 def write_evaluations_csv(evals: list, path):
-    """Evaluations sorted by accuracy (best first, tie rule matching select_best)."""
-    ordered = sorted(
-        evals,
-        key=lambda ev: (-ev.val_accuracy, ev.mult_add_proxy, ev.active_param_count),
-    )
+    """Evaluations sorted best first by `_rank_key`."""
+    ordered = sorted(evals, key=_rank_key)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["strategy_json", "val_accuracy", "active_params", "mult_adds"])

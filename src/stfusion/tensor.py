@@ -250,68 +250,51 @@ def concat_channels(tensors) -> Tensor:
 # convolutions (stride 1, same padding)
 # ---------------------------------------------------------------------------
 
-def conv2d_spatial(x: Tensor, kernel: Tensor, padding: int) -> Tensor:
-    """Per-frame 2D cross-correlation of a rank-5 clip tensor.
+def _same_correlation(name: str, x: Tensor, kernel: Tensor, padding: int, axes: tuple, taps: str) -> Tensor:
+    """Stride-1, same-padded cross-correlation of a rank-5 clip tensor.
 
-    x: (N, C, T, H, W), kernel: (O, C, kh, kw). Same padding, stride 1.
+    x: (N, C, T, H, W); kernel: (O, C, *window), one odd window extent per
+    axis in `axes` (positions in x), named by one letter each in `taps`.
     """
-    if len(x.shape) != 5 or len(kernel.shape) != 4:
-        raise ShapeError(f"conv2d_spatial expects rank-5 input and rank-4 kernel, got {x.shape}, {kernel.shape}")
-    n, c, t, h, w = x.shape
-    o, ck, kh, kw = kernel.shape
+    window = kernel.shape[2:]
+    if len(x.shape) != 5 or len(kernel.shape) != 2 + len(axes):
+        raise ShapeError(
+            f"{name} expects rank-5 input and rank-{2 + len(axes)} kernel, got {x.shape}, {kernel.shape}"
+        )
+    c, ck = x.shape[1], kernel.shape[1]
     if c != ck:
         raise ShapeError(f"channel mismatch: input {x.shape} has {c} channels, kernel {kernel.shape} expects {ck}")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ContractError(f"kernel spatial extents must be odd, got {kh}x{kw}")
-    if padding != (kh - 1) // 2 or padding != (kw - 1) // 2:
-        raise ContractError(f"padding must be (k-1)/2 for same-shape output, got {padding} for {kh}x{kw}")
+    if any(k % 2 == 0 for k in window):
+        raise ContractError(f"{name} kernel extents must be odd, got {window}")
+    if any(padding != (k - 1) // 2 for k in window):
+        raise ContractError(f"padding must be (k-1)/2 for same-shape output, got {padding} for {window}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = sliding_window_view(xp, (kh, kw), axis=(3, 4))  # (N,C,T,H,W,kh,kw)
-    out = np.einsum("ncthwij,ocij->nothw", win, kernel.data, optimize=True)
+    pad = [(0, 0)] * 5
+    for axis in axes:
+        pad[axis] = (padding, padding)
+    flip = (slice(None), slice(None)) + (slice(None, None, -1),) * len(axes)
+    xp = np.pad(x.data, pad)
+    win = sliding_window_view(xp, window, axis=axes)  # (N, C, T, H, W, *window)
+    out = np.einsum(f"ncthw{taps},oc{taps}->nothw", win, kernel.data, optimize=True)
 
     def bwd(go):
         if kernel.requires_grad:
-            kernel.grad += np.einsum("ncthwij,nothw->ocij", win, go, optimize=True)
+            kernel.grad += np.einsum(f"ncthw{taps},nothw->oc{taps}", win, go, optimize=True)
         if x.requires_grad:
-            gop = np.pad(go, ((0, 0), (0, 0), (0, 0), (padding, padding), (padding, padding)))
-            gwin = sliding_window_view(gop, (kh, kw), axis=(3, 4))
-            kflip = kernel.data[:, :, ::-1, ::-1]
-            x.grad += np.einsum("nothwij,ocij->ncthw", gwin, kflip, optimize=True)
+            gwin = sliding_window_view(np.pad(go, pad), window, axis=axes)
+            x.grad += np.einsum(f"nothw{taps},oc{taps}->ncthw", gwin, kernel.data[flip], optimize=True)
 
     return _result(out, (x, kernel), bwd)
+
+
+def conv2d_spatial(x: Tensor, kernel: Tensor, padding: int) -> Tensor:
+    """Per-frame 2D cross-correlation; x: (N, C, T, H, W), kernel: (O, C, kh, kw)."""
+    return _same_correlation("conv2d_spatial", x, kernel, padding, (3, 4), "ij")
 
 
 def conv1d_temporal(x: Tensor, kernel: Tensor, padding: int) -> Tensor:
-    """Per-pixel 1D temporal cross-correlation of a rank-5 clip tensor.
-
-    x: (N, C, T, H, W), kernel: (O, C, kt). Same padding, stride 1.
-    """
-    if len(x.shape) != 5 or len(kernel.shape) != 3:
-        raise ShapeError(f"conv1d_temporal expects rank-5 input and rank-3 kernel, got {x.shape}, {kernel.shape}")
-    n, c, t, h, w = x.shape
-    o, ck, kt = kernel.shape
-    if c != ck:
-        raise ShapeError(f"channel mismatch: input {x.shape} has {c} channels, kernel {kernel.shape} expects {ck}")
-    if kt % 2 == 0:
-        raise ContractError(f"temporal kernel extent must be odd, got {kt}")
-    if padding != (kt - 1) // 2:
-        raise ContractError(f"padding must be (kt-1)/2 for same-shape output, got {padding} for kt={kt}")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (0, 0), (0, 0)))
-    win = sliding_window_view(xp, kt, axis=2)  # (N,C,T,H,W,kt)
-    out = np.einsum("ncthwk,ock->nothw", win, kernel.data, optimize=True)
-
-    def bwd(go):
-        if kernel.requires_grad:
-            kernel.grad += np.einsum("ncthwk,nothw->ock", win, go, optimize=True)
-        if x.requires_grad:
-            gop = np.pad(go, ((0, 0), (0, 0), (padding, padding), (0, 0), (0, 0)))
-            gwin = sliding_window_view(gop, kt, axis=2)
-            kflip = kernel.data[:, :, ::-1]
-            x.grad += np.einsum("nothwk,ock->ncthw", gwin, kflip, optimize=True)
-
-    return _result(out, (x, kernel), bwd)
+    """Per-pixel 1D temporal cross-correlation; x: (N, C, T, H, W), kernel: (O, C, kt)."""
+    return _same_correlation("conv1d_temporal", x, kernel, padding, (2,), "k")
 
 
 def avg_pool_spatial(x: Tensor) -> Tensor:
@@ -404,13 +387,15 @@ class BatchNorm:
         self.initialized = False
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
+        """Normalize with batch statistics (training) or running statistics (eval)."""
         if len(x.shape) != 5 or x.shape[1] != self.channels:
             raise ShapeError(f"batch_norm expects rank-5 input with {self.channels} channels, got {x.shape}")
         n, c, t, h, w = x.shape
+        m = n * t * h * w
         axes = (0, 2, 3, 4)
+        per_channel = (None, slice(None), None, None, None)
         gamma, beta = self.gamma, self.beta
         if training:
-            m = n * t * h * w
             if m < 2:
                 raise ContractError(f"train-mode batch_norm needs >= 2 values per channel, got {m}")
             mu = x.data.mean(axis=axes)
@@ -422,44 +407,32 @@ class BatchNorm:
             else:
                 self.running_mean = self.MOMENTUM * self.running_mean + (1 - self.MOMENTUM) * mu
                 self.running_var = self.MOMENTUM * self.running_var + (1 - self.MOMENTUM) * var
-            ivar = 1.0 / np.sqrt(var + self.EPS)
-            xhat = (x.data - mu[None, :, None, None, None]) * ivar[None, :, None, None, None]
-            out = gamma.data[None, :, None, None, None] * xhat + beta.data[None, :, None, None, None]
-
-            def bwd(go):
-                if beta.requires_grad:
-                    beta.grad += go.sum(axis=axes)
-                if gamma.requires_grad:
-                    gamma.grad += (go * xhat).sum(axis=axes)
-                if x.requires_grad:
-                    dxhat = go * gamma.data[None, :, None, None, None]
-                    s1 = dxhat.sum(axis=axes)
-                    s2 = (dxhat * xhat).sum(axis=axes)
-                    x.grad += (ivar[None, :, None, None, None] / m) * (
-                        m * dxhat
-                        - s1[None, :, None, None, None]
-                        - xhat * s2[None, :, None, None, None]
-                    )
-
-            return _result(out, (x, gamma, beta), bwd)
-
-        if not self.initialized:
+        elif not self.initialized:
             raise UninitializedStateError(
                 f"batch_norm {self.prefix} used in eval mode before any train-mode call"
             )
-        ivar = 1.0 / np.sqrt(self.running_var + self.EPS)
-        xhat = (x.data - self.running_mean[None, :, None, None, None]) * ivar[None, :, None, None, None]
-        out = gamma.data[None, :, None, None, None] * xhat + beta.data[None, :, None, None, None]
+        else:
+            mu, var = self.running_mean, self.running_var
+        ivar = 1.0 / np.sqrt(var + self.EPS)
+        xhat = (x.data - mu[per_channel]) * ivar[per_channel]
+        out = gamma.data[per_channel] * xhat + beta.data[per_channel]
 
-        def bwd_eval(go):
+        def bwd(go):
             if beta.requires_grad:
                 beta.grad += go.sum(axis=axes)
             if gamma.requires_grad:
                 gamma.grad += (go * xhat).sum(axis=axes)
-            if x.requires_grad:
-                x.grad += go * (gamma.data * ivar)[None, :, None, None, None]
+            if not x.requires_grad:
+                return
+            if not training:  # the statistics are constants
+                x.grad += go * (gamma.data * ivar)[per_channel]
+                return
+            dxhat = go * gamma.data[per_channel]
+            s1 = dxhat.sum(axis=axes)
+            s2 = (dxhat * xhat).sum(axis=axes)
+            x.grad += (ivar[per_channel] / m) * (m * dxhat - s1[per_channel] - xhat * s2[per_channel])
 
-        return _result(out, (x, gamma, beta), bwd_eval)
+        return _result(out, (x, gamma, beta), bwd)
 
     def state(self):
         return {

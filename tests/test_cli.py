@@ -88,6 +88,14 @@ class TestGenerate:
         assert result.exit_code == cli.EXIT_CONFIG
         assert "template.growth_channels" in result.output
 
+    def test_missing_num_blocks_exit_2(self, runner, tmp_path):
+        cfg = base_config()
+        del cfg["template"]["num_blocks"]
+        cfg_path = write_config(tmp_path, cfg)
+        result = runner.invoke(cli.main, ["generate", "--config", cfg_path, "--workdir", str(tmp_path / "run")])
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert "missing config field: template.num_blocks" in result.output
+
     def test_mismatched_shapes_exit_2(self, runner, tmp_path):
         cfg = base_config()
         cfg["data"]["clip_shape"] = [1, 8, 8, 8]
@@ -187,6 +195,25 @@ class TestSampleEvalAndReport:
         assert result.exit_code == cli.EXIT_MISSING
 
 
+@pytest.mark.parametrize("stage", ["sample-eval", "oracle"])
+def test_weights_of_another_template_exit_6(runner, tmp_path, stage):
+    cfg = base_config()
+    cfg["template"]["growth_channels"] = 3
+    cfg["template"]["layers_per_block"] = 1
+    cfg["schedule"]["main_epochs"] = 0
+    cfg_path = write_config(tmp_path, cfg)
+    wd = tmp_path / "run"
+    invoke(runner, ["generate", "--config", cfg_path, "--workdir", str(wd)])
+    invoke(runner, ["train", "--config", cfg_path, "--workdir", str(wd)])
+    cfg["template"]["growth_channels"] = 5
+    wider = write_config(tmp_path, cfg, name="wider.json")
+    result = runner.invoke(cli.main, [stage, "--config", wider, "--workdir", str(wd)])
+    assert result.exit_code == cli.EXIT_MISMATCH
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("artifact does not match config: "), result.output
+    assert "layer1/S/conv2d" in lines[0]
+
+
 class TestOracle:
     def test_single_layer_oracle(self, runner, tmp_path):
         cfg = base_config()
@@ -248,9 +275,35 @@ class TestOracle:
         assert "size guard" in result.output
 
 
-def test_cli_import_loads_no_scipy():
+def source_env():
+    """Environment in which a fresh interpreter imports this checkout's stfusion."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_divergence_prints_one_stderr_line(runner, tmp_path):
+    # A fresh process, because CliRunner captures NumPy's warnings before they reach stderr.
+    cfg_path = write_config(tmp_path, base_config())
+    wd = tmp_path / "run"
+    invoke(runner, ["generate", "--config", cfg_path, "--workdir", str(wd)])
+    invoke(runner, ["train", "--config", cfg_path, "--workdir", str(wd)])
+    cfg = base_config()
+    cfg["schedule"]["lr"] = 1e300
+    diverging = write_config(tmp_path, cfg, name="diverging.json")
+    for stage, prefix in (
+        (["train"], "training diverged: "),  # exits before writing, so the oracle still finds weights
+        (["oracle", "--jobs", "1"], "oracle training diverged: "),
+        (["oracle", "--jobs", "2"], "oracle training diverged: "),
+    ):
+        args = [*stage, "--config", diverging, "--workdir", str(wd)]
+        result = subprocess.run([sys.executable, "-m", "stfusion.cli", *args],
+                                env=source_env(), capture_output=True, text=True)
+        assert result.returncode == cli.EXIT_DIVERGED, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), result.stderr
+
+
+def test_cli_import_loads_no_scipy():
     probe = "import sys, stfusion.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -286,10 +286,13 @@ class TestFiniteDifferences:
         k = T.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
         assert max_rel_error(lambda: linear_probe(T.conv1d_temporal(x, k, 1), np.random.default_rng(0)), [x, k]) < 1e-6
 
-    def test_batch_norm_train(self, rng):
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm(self, rng, training):
         bn = T.BatchNorm(2, "bn")
+        if not training:  # seed the running statistics
+            bn(T.Tensor(rng.normal(size=(2, 2, 3, 3, 3))), training=True)
         x = T.Tensor(rng.normal(size=(2, 2, 3, 3, 3)), requires_grad=True)
-        make = lambda: linear_probe(bn(x, training=True), np.random.default_rng(0))
+        make = lambda: linear_probe(bn(x, training=training), np.random.default_rng(0))
         assert max_rel_error(make, [x, bn.gamma, bn.beta]) < 1e-5
 
     def test_softmax_cross_entropy(self, rng):
