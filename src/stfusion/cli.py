@@ -20,7 +20,7 @@ import numpy as np
 from . import data as D
 from . import lab
 from .config import RunConfig, load_run_config, override_seed
-from .errors import ConfigurationError, ShapeError, SizeGuardError, TrainingDiverged
+from .errors import ConfigurationError, ContractError, ShapeError, SizeGuardError, TrainingDiverged
 from .gates import GateParams, ObjectiveConfig
 from .model import FusionStrategy, TemplateNetwork, enumerate_all_strategies
 
@@ -70,13 +70,40 @@ def _save_weights(net, path):
     np.savez(path, **net.state_dict())
 
 
+def _mismatch(path, problem):
+    click.echo(f"artifact does not match config: {path}: {problem}", err=True)
+    sys.exit(EXIT_MISMATCH)
+
+
 def _load_weights(net, path):
     with np.load(path) as archive:
         try:
             net.load_state_dict(dict(archive))
         except ShapeError as exc:
-            click.echo(f"artifact does not match config: {path}: {exc}", err=True)
-            sys.exit(EXIT_MISMATCH)
+            _mismatch(path, exc)
+
+
+def _load_gates(cfg: RunConfig, wd: Path) -> GateParams:
+    path = _require(wd / GATES_FILE)
+    params = GateParams.load(path)
+    expected = GateParams.for_config(cfg.template)
+    if (params.blocks, params.edge_counts) != (expected.blocks, expected.edge_counts):
+        _mismatch(path, f"gate layout has blocks {list(params.blocks)}, edge_counts {params.edge_counts}; "
+                        f"template expects blocks {list(expected.blocks)}, edge_counts {expected.edge_counts}")
+    return params
+
+
+def _load_best_strategy(cfg: RunConfig, wd: Path) -> FusionStrategy:
+    path = _require(wd / BEST_FILE)
+    with open(path) as f:
+        obj = json.load(f)["strategy"]
+    try:
+        best = FusionStrategy.from_json(obj).validate()
+    except ContractError as exc:
+        _mismatch(path, exc)
+    if best.num_layers != cfg.template.total_layers:
+        _mismatch(path, f"strategy has {best.num_layers} layers, template has {cfg.template.total_layers}")
+    return best
 
 
 config_option = click.option("--config", "config_path", required=True, type=click.Path())
@@ -135,11 +162,11 @@ def sample_eval(config_path, workdir, seed):
     train_set, val_set = _load_dataset_splits(cfg, wd)
     net = TemplateNetwork(cfg.template, seed=cfg.schedule.seed)
     _load_weights(net, _require(wd / WEIGHTS_FILE))
-    params = GateParams.load(_require(wd / GATES_FILE))
+    params = _load_gates(cfg, wd)
     rng = np.random.default_rng(cfg.sampling.seed)
     strategies = lab.sample_strategies(net, params, cfg.sampling.count, rng)
     recal = train_set if cfg.sampling.recalibrate_bn else None
-    evals = [lab.evaluate_strategy(net, s, val_set, recalibrate=recal) for s in strategies]
+    evals = lab.evaluate_strategies(net, strategies, val_set, recalibrate=recal)
     lab.write_evaluations_csv(evals, wd / EVALS_FILE)
     best = lab.select_best(evals) if evals else None
     if best is not None:
@@ -165,10 +192,8 @@ def sample_eval(config_path, workdir, seed):
 def report(config_path, workdir, seed):
     """Write the per-layer fusion preference report."""
     cfg, wd = _load_config(config_path, workdir, seed)
-    params = GateParams.load(_require(wd / GATES_FILE))
-    with open(_require(wd / BEST_FILE)) as f:
-        best = FusionStrategy.from_json(json.load(f)["strategy"])
-    rep = lab.layer_preference_report(params, best)
+    params = _load_gates(cfg, wd)
+    rep = lab.layer_preference_report(params, _load_best_strategy(cfg, wd))
     rep.write_csv(wd / PREFERENCE_FILE)
     click.echo(f"wrote {wd / PREFERENCE_FILE} ({len(rep.rows)} layers)")
 
@@ -204,9 +229,7 @@ def oracle(config_path, workdir, seed, jobs):
     _load_weights(net, _require(wd / WEIGHTS_FILE))
 
     recal = train_set if cfg.sampling.recalibrate_bn else None
-    posterior = [
-        lab.evaluate_strategy(net, s, val_set, recalibrate=recal).val_accuracy for s in strategies
-    ]
+    posterior = [ev.val_accuracy for ev in lab.evaluate_strategies(net, strategies, val_set, recalibrate=recal)]
 
     inputs = (cfg, train_set, val_set)
     try:

@@ -46,6 +46,8 @@ class RunConfig:
 
 
 def _get(obj: dict, key: str, path: str, default=MISSING):
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"config section {path.rstrip('.')} must be a JSON object")
     if key not in obj:
         if default is not MISSING:
             return default

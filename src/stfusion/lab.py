@@ -197,6 +197,69 @@ def evaluate_strategy(
     )
 
 
+def evaluate_strategies(
+    net: TemplateNetwork,
+    strategies: list,
+    val: D.ClipDataset,
+    recalibrate: D.ClipDataset | None = None,
+) -> list:
+    """`evaluate_strategy` of every draw, in draw order, scoring each distinct strategy once.
+
+    Without recalibration the distinct strategies share one walk of their
+    hard-gate prefix trie per validation batch (see `_prefix_walk`). With it,
+    each distinct strategy gets its own `evaluate_strategy`, because the
+    re-estimated statistics depend on the whole strategy.
+    """
+    if len(val) == 0:
+        raise ContractError("validation dataset is empty")
+    distinct = list(dict.fromkeys(strategies))
+    if recalibrate is not None:
+        scored = [evaluate_strategy(net, s, val, recalibrate) for s in distinct]
+    else:
+        subs = [Subnetwork(net, s) for s in distinct]
+        gates = [sub.gates for sub in subs]
+        correct = [0] * len(subs)
+        for clips, labels in _in_order(val):
+            walk = _prefix_walk(net, gates, range(len(subs)), [net.stem_step(Tensor(clips))], 0)
+            for member, predicted in walk:
+                correct[member] += int(np.sum(predicted == labels))
+        scored = [
+            StrategyEvaluation(sub.strategy, c / len(val), sub.active_param_count(), sub.mult_add_proxy())
+            for sub, c in zip(subs, correct)
+        ]
+    by_strategy = dict(zip(distinct, scored))
+    return [by_strategy[s] for s in strategies]
+
+
+def _prefix_walk(net: TemplateNetwork, gates: list, members, feats: list, depth: int):
+    """Yield (member, predicted labels) for each member whose gates agree on layers before `depth`.
+
+    `feats` holds the features of the current block so far. Eval-mode batch
+    norm uses fixed statistics, so layer `depth` sees the same input for every
+    member: each distinct gate of that layer runs once, and its subtree is
+    walked before the next sibling is computed, so only the current path is
+    held. A block end runs once per prefix that reaches it.
+    """
+    per_block = net.config.layers_per_block
+    if depth and depth % per_block == 0:
+        h = net.block_end_step(depth // per_block - 1, feats, training=False)
+        if depth == net.config.total_layers:
+            predicted = np.argmax(net.head_step(h, training=False).data, axis=1)
+            for member in members:
+                yield member, predicted
+            return
+        feats = [h]
+    children = {}
+    for member in members:
+        lg = gates[member].layers[depth]
+        children.setdefault((tuple(lg.edges), lg.s, lg.st), []).append(member)
+    layer = net.layer_list()[depth]
+    for group in children.values():
+        feats.append(net.layer_step(layer, feats, gates[group[0]].layers[depth], training=False))
+        yield from _prefix_walk(net, gates, group, feats, depth + 1)
+        feats.pop()
+
+
 def _rank_key(ev: StrategyEvaluation) -> tuple:
     """Best first: higher accuracy, then cheaper compute, then fewer params."""
     return (-ev.val_accuracy, ev.mult_add_proxy, ev.active_param_count)

@@ -337,43 +337,58 @@ class TemplateNetwork:
             bn.load_state({key: state[f"{bn.prefix}/{key}"] for key in bn.state()})
 
     # -- forward ------------------------------------------------------------
+    # The steps of `forward` are public so that a caller evaluating several
+    # gate samples can run the steps they share once (lab.evaluate_strategies).
 
     def forward(self, batch: Tensor, gates: GateSample, training: bool) -> Tensor:
-        cfg = self.config
-        if batch.shape[1:] != tuple(cfg.clip_shape):
-            raise ShapeError(
-                f"batch clip shape {tuple(batch.shape[1:])} does not match config clip shape {tuple(cfg.clip_shape)}"
-            )
-        if len(gates.layers) != cfg.total_layers:
+        h = self.stem_step(batch)
+        if len(gates.layers) != self.config.total_layers:
             raise ContractError(
-                f"gate sample covers {len(gates.layers)} layers, network has {cfg.total_layers}"
+                f"gate sample covers {len(gates.layers)} layers, network has {self.config.total_layers}"
             )
-        kt, kh, kw = cfg.kernel_sizes
-        h = T.conv2d_spatial(batch, self.stem, (kh - 1) // 2)
         idx = 0
         for b, block in enumerate(self.blocks):
             feats = [h]
             for layer in block:
-                lg = gates.layers[idx]
+                feats.append(self.layer_step(layer, feats, gates.layers[idx], training))
                 idx += 1
-                if len(lg.edges) != len(feats):
-                    raise ContractError(
-                        f"layer {layer.global_index} has {len(feats)} incoming edges, "
-                        f"gate sample provides {len(lg.edges)}"
-                    )
-                gated = [_apply_gate(f, g) for f, g in zip(feats, lg.edges)]
-                inp = gated[0] if len(gated) == 1 else T.concat_channels(gated)
-                out_shape = (batch.shape[0], cfg.growth_channels) + inp.shape[2:]
-                s_dropped = isinstance(lg.s, float) and lg.s == 0.0
-                st_dropped = isinstance(lg.st, float) and lg.st == 0.0
-                s_out = T.zeros(out_shape) if s_dropped else _apply_gate(layer.branch_s(inp, training), lg.s)
-                st_out = T.zeros(out_shape) if st_dropped else _apply_gate(layer.branch_st(inp, training), lg.st)
-                feats.append(T.add(s_out, st_out))
-            h = T.concat_channels(feats)
-            if b < len(self.transitions):
-                h = self.transitions[b](h, training)
-        h = T.relu(self.final_bn(h, training))
-        return T.pool_and_classify(h, self.head)
+            h = self.block_end_step(b, feats, training)
+        return self.head_step(h, training)
+
+    def stem_step(self, batch: Tensor) -> Tensor:
+        clip_shape = tuple(self.config.clip_shape)
+        if batch.shape[1:] != clip_shape:
+            raise ShapeError(
+                f"batch clip shape {tuple(batch.shape[1:])} does not match config clip shape {clip_shape}"
+            )
+        kh = self.config.kernel_sizes[1]
+        return T.conv2d_spatial(batch, self.stem, (kh - 1) // 2)
+
+    def layer_step(self, layer: DenseLayer, feats: list, lg: LayerGates, training: bool) -> Tensor:
+        """Output of one dense layer from the features before it in its block."""
+        if len(lg.edges) != len(feats):
+            raise ContractError(
+                f"layer {layer.global_index} has {len(feats)} incoming edges, "
+                f"gate sample provides {len(lg.edges)}"
+            )
+        gated = [_apply_gate(f, g) for f, g in zip(feats, lg.edges)]
+        inp = gated[0] if len(gated) == 1 else T.concat_channels(gated)
+        out_shape = (inp.shape[0], self.config.growth_channels) + inp.shape[2:]
+        s_dropped = isinstance(lg.s, float) and lg.s == 0.0
+        st_dropped = isinstance(lg.st, float) and lg.st == 0.0
+        s_out = T.zeros(out_shape) if s_dropped else _apply_gate(layer.branch_s(inp, training), lg.s)
+        st_out = T.zeros(out_shape) if st_dropped else _apply_gate(layer.branch_st(inp, training), lg.st)
+        return T.add(s_out, st_out)
+
+    def block_end_step(self, b: int, feats: list, training: bool) -> Tensor:
+        """Block b's features concatenated, then its transition if one follows."""
+        h = T.concat_channels(feats)
+        if b < len(self.transitions):
+            h = self.transitions[b](h, training)
+        return h
+
+    def head_step(self, h: Tensor, training: bool) -> Tensor:
+        return T.pool_and_classify(T.relu(self.final_bn(h, training)), self.head)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from stfusion import cli
 from stfusion import data as D
+from stfusion import lab as L
+from stfusion.config import load_run_config
+from stfusion.gates import GateParams
 from stfusion.lab import PreferenceReport
+from stfusion.model import TemplateNetwork
 
 
 def base_config(**overrides):
@@ -103,6 +108,15 @@ class TestGenerate:
         result = runner.invoke(cli.main, ["generate", "--config", cfg_path, "--workdir", str(tmp_path / "run")])
         assert result.exit_code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("section, value", [
+        ("schedule", []), ("schedule", [1]), ("sampling", ""), ("objective", []), ("schedule", "lr"),
+    ])
+    def test_section_not_an_object_exit_2(self, runner, tmp_path, section, value):
+        cfg_path = write_config(tmp_path, base_config(**{section: value}))
+        result = runner.invoke(cli.main, ["generate", "--config", cfg_path, "--workdir", str(tmp_path / "run")])
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert result.output.splitlines() == [f"config error: config section {section} must be a JSON object"]
+
     def test_unreadable_config_exit_2(self, runner, tmp_path):
         result = runner.invoke(cli.main, ["generate", "--config", str(tmp_path / "nope.json"),
                                           "--workdir", str(tmp_path / "run")])
@@ -188,6 +202,46 @@ class TestSampleEvalAndReport:
             total = sum(float(r[k]) for k in ("freq_S", "freq_ST", "freq_SST", "freq_skip"))
             assert abs(total - 1.0) < 1e-12
             assert abs(float(r["eq7_S"]) - (1 - float(r["p_S"]) ** 0.5)) < 1e-12
+
+    def test_sample_eval_matches_per_draw_reference(self, runner, tmp_path):
+        cfg_path = write_config(tmp_path, base_config(sampling={"count": 30, "seed": 1}))
+        wd = tmp_path / "run"
+        for stage in ("generate", "train", "sample-eval"):
+            invoke(runner, [stage, "--config", cfg_path, "--workdir", str(wd)])
+        cfg = load_run_config(cfg_path)
+        _, val = D.split(D.load(wd / cli.DATASET_FILE), cfg.data.train_frac, cfg.data.seed)
+        net = TemplateNetwork(cfg.template, seed=cfg.schedule.seed)
+        cli._load_weights(net, wd / cli.WEIGHTS_FILE)
+        draws = L.sample_strategies(net, GateParams.load(wd / cli.GATES_FILE), cfg.sampling.count,
+                                    np.random.default_rng(cfg.sampling.seed))
+        assert len(set(draws)) < len(draws)
+        L.write_evaluations_csv([L.evaluate_strategy(net, s, val) for s in draws], tmp_path / "reference.csv")
+        assert (wd / cli.EVALS_FILE).read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_best_strategy_of_another_template_exit_6(self, runner, trained):
+        cfg_path, wd = trained
+        invoke(runner, ["sample-eval", "--config", cfg_path, "--workdir", str(wd)])
+        best = json.loads((wd / cli.BEST_FILE).read_text())
+        best["strategy"]["L"] = 1
+        best["strategy"]["layers"] = best["strategy"]["layers"][:1]
+        (wd / cli.BEST_FILE).write_text(json.dumps(best))
+        result = runner.invoke(cli.main, ["report", "--config", cfg_path, "--workdir", str(wd)])
+        assert result.exit_code == cli.EXIT_MISMATCH
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("artifact does not match config: "), result.output
+        assert "strategy has 1 layers, template has 2" in lines[0]
+        assert not (wd / cli.PREFERENCE_FILE).exists()
+
+    @pytest.mark.parametrize("stage", ["sample-eval", "report"])
+    def test_gates_of_another_template_exit_6(self, runner, trained, stage):
+        cfg_path, wd = trained
+        invoke(runner, ["sample-eval", "--config", cfg_path, "--workdir", str(wd)])
+        GateParams(edge_counts=[1], blocks=(1, 1)).save(wd / cli.GATES_FILE)
+        result = runner.invoke(cli.main, [stage, "--config", cfg_path, "--workdir", str(wd)])
+        assert result.exit_code == cli.EXIT_MISMATCH
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("artifact does not match config: "), result.output
+        assert "edge_counts [1]; template expects blocks [1, 2], edge_counts [1, 2]" in lines[0]
 
     def test_report_missing_best_exit_4(self, runner, trained):
         cfg_path, wd = trained

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from stfusion import data as D
 from stfusion import lab as L
+from stfusion import tensor as T
 from stfusion.errors import ContractError, TrainingDiverged
 from stfusion.gates import GateParams, ObjectiveConfig
 from stfusion.model import (
@@ -15,6 +16,7 @@ from stfusion.model import (
     FusionUnitKind,
     TemplateConfig,
     TemplateNetwork,
+    enumerate_all_strategies,
     strategy_from_literature,
 )
 
@@ -138,11 +140,12 @@ class TestSampling:
         assert [s.to_json() for s in a] == [s.to_json() for s in b]
 
 
-class TestEvaluateStrategy:
-    def _checksum(self, net):
-        return float(sum(np.sum(p.data) for p in net.parameters())) + float(
-            sum(np.sum(bn.running_mean) + np.sum(bn.running_var) for bn in net.batch_norms()))
+def _checksum(net):
+    return float(sum(np.sum(p.data) for p in net.parameters())) + float(
+        sum(np.sum(bn.running_mean) + np.sum(bn.running_var) for bn in net.batch_norms()))
 
+
+class TestEvaluateStrategy:
     def test_full_strategy_matches_template(self, tiny_splits):
         train, val = tiny_splits
         net = TemplateNetwork(CFG, seed=1)
@@ -159,11 +162,11 @@ class TestEvaluateStrategy:
         sched = L.TrainSchedule(warmup_epochs=1, main_epochs=0, batch_size=8, seed=1)
         L.train_template(net, GateParams.for_config(CFG), train, val, sched,
                          ObjectiveConfig(k=1.0, n_train=len(train)))
-        before = self._checksum(net)
+        before = _checksum(net)
         strat = strategy_from_literature("top_heavy", CFG.total_layers)
         L.evaluate_strategy(net, strat, val)
         L.evaluate_strategy(net, strat, val, recalibrate=train)
-        assert self._checksum(net) == before
+        assert _checksum(net) == before
 
     def test_repeat_evaluation_identical(self, tiny_splits):
         train, val = tiny_splits
@@ -183,6 +186,105 @@ class TestEvaluateStrategy:
         empty = D.ClipDataset(clips=train.clips[:0], labels=train.labels[:0], manifest=train.manifest)
         with pytest.raises(ContractError):
             L.evaluate_strategy(net, strategy_from_literature("top_heavy", 2), empty)
+
+
+CFG2 = TemplateConfig(
+    num_blocks=2, layers_per_block=2, growth_channels=4, stem_channels=4,
+    clip_shape=(1, 4, 8, 8), num_classes=2,
+)
+
+
+@pytest.fixture(scope="module")
+def long_splits():
+    """A validation split longer than one evaluation batch."""
+    spec = D.SynthSpec(mode="temporal_only", classes=2, clips_per_class=45,
+                       clip_shape=(1, 4, 8, 8), noise_sigma=0.3)
+    train, val = D.split(D.generate_synthetic(spec, seed=0), 0.2, seed=0)
+    assert len(val) > L._EVAL_BATCH
+    return train, val
+
+
+def _warmed_up(cfg, train, val):
+    net = TemplateNetwork(cfg, seed=1)
+    sched = L.TrainSchedule(warmup_epochs=2, main_epochs=0, batch_size=8, seed=1)
+    L.train_template(net, GateParams.for_config(cfg), train, val, sched,
+                     ObjectiveConfig(k=1.0, n_train=len(train)))
+    return net
+
+
+def _fields(evals):
+    return [(ev.strategy, ev.val_accuracy, ev.active_param_count, ev.mult_add_proxy) for ev in evals]
+
+
+class TestEvaluateStrategies:
+    """The prefix-sharing evaluator against one `evaluate_strategy` per draw."""
+
+    def _assert_matches_reference(self, net, draws, val, recalibrate=None):
+        before = _checksum(net)
+        reference = [L.evaluate_strategy(net, s, val, recalibrate=recalibrate) for s in draws]
+        assert len({ev.val_accuracy for ev in reference}) > 1  # the strategies are told apart
+        assert _fields(L.evaluate_strategies(net, draws, val, recalibrate=recalibrate)) == _fields(reference)
+        assert _checksum(net) == before
+
+    def _posterior_draws(self, cfg, net):
+        draws = L.sample_strategies(net, GateParams.for_config(cfg, init_drop=0.1), 30, np.random.default_rng(3))
+        assert len(set(draws)) < len(draws)
+        return draws
+
+    def test_all_two_layer_strategies(self, long_splits):
+        train, val = long_splits
+        net = _warmed_up(CFG, train, val)
+        self._assert_matches_reference(net, enumerate_all_strategies(2), val)
+
+    def test_posterior_draws_across_a_transition(self, long_splits):
+        train, val = long_splits
+        net = _warmed_up(CFG2, train, val)
+        assert len(net.transitions) == 1
+        self._assert_matches_reference(net, self._posterior_draws(CFG2, net), val)
+
+    def test_recalibrated_posterior_draws(self, long_splits, monkeypatch):
+        train, val = long_splits
+        net = _warmed_up(CFG2, train, val)
+        draws = self._posterior_draws(CFG2, net)
+        self._assert_matches_reference(net, draws, val, recalibrate=train)
+        scored = []
+        reference = L.evaluate_strategy
+        monkeypatch.setattr(L, "evaluate_strategy", lambda net, s, *args: scored.append(s) or reference(net, s, *args))
+        L.evaluate_strategies(net, draws, val, recalibrate=train)
+        assert scored == list(dict.fromkeys(draws))  # each distinct strategy once
+
+    def test_empty_val_rejected(self, tiny_splits):
+        train, _ = tiny_splits
+        empty = D.ClipDataset(clips=train.clips[:0], labels=train.labels[:0], manifest=train.manifest)
+        with pytest.raises(ContractError):
+            L.evaluate_strategies(TemplateNetwork(CFG, seed=0), enumerate_all_strategies(2), empty)
+
+    def test_shared_work_is_done_once(self, long_splits, monkeypatch):
+        train, val = long_splits
+        net = _warmed_up(CFG, train, val)
+        kernels = []
+        conv2d = T.conv2d_spatial
+
+        def counted(x, kernel, padding):
+            kernels.append(kernel)
+            return conv2d(x, kernel, padding)
+
+        monkeypatch.setattr(T, "conv2d_spatial", counted)
+        batches = -(-len(val) // L._EVAL_BATCH)
+        strat = strategy_from_literature("mixed_everywhere", CFG.total_layers)
+        L.evaluate_strategies(net, [strat], val)
+        once = len(kernels)
+        kernels.clear()
+        L.evaluate_strategies(net, [strat] * 50, val)
+        assert len(kernels) == once
+
+        kernels.clear()
+        L.evaluate_strategies(net, enumerate_all_strategies(2), val)
+        layer1, layer2 = net.layer_list()
+        uses = lambda p: sum(k is p for k in kernels)
+        assert uses(net.stem) == batches
+        assert uses(layer1.conv_s) == 2 * batches  # S and S+ST at layer 1
+        assert uses(layer2.conv_s) == 3 * 2 * batches  # S and S+ST under each of 3 layer-1 prefixes
 
 
 class TestTrainTemplate:
