@@ -20,7 +20,6 @@ from .gates import (
     ObjectiveBreakdown,
     ObjectiveConfig,
     marginal_eq7,
-    monte_carlo_unit_marginal,
     objective,
     sample_gates_concrete,
     sample_gates_hard,

@@ -85,7 +85,10 @@ def _load_weights(net, path):
 
 def _load_gates(cfg: RunConfig, wd: Path) -> GateParams:
     path = _require(wd / GATES_FILE)
-    params = GateParams.load(path)
+    try:
+        params = GateParams.load(path)
+    except ContractError as exc:
+        _mismatch(path, exc)
     expected = GateParams.for_config(cfg.template)
     if (params.blocks, params.edge_counts) != (expected.blocks, expected.edge_counts):
         _mismatch(path, f"gate layout has blocks {list(params.blocks)}, edge_counts {params.edge_counts}; "
@@ -164,7 +167,7 @@ def sample_eval(config_path, workdir, seed):
     _load_weights(net, _require(wd / WEIGHTS_FILE))
     params = _load_gates(cfg, wd)
     rng = np.random.default_rng(cfg.sampling.seed)
-    strategies = lab.sample_strategies(net, params, cfg.sampling.count, rng)
+    strategies = lab.sample_strategies(params, cfg.sampling.count, rng)
     recal = train_set if cfg.sampling.recalibrate_bn else None
     evals = lab.evaluate_strategies(net, strategies, val_set, recalibrate=recal)
     lab.write_evaluations_csv(evals, wd / EVALS_FILE)

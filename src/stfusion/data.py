@@ -115,13 +115,6 @@ class ClipDataset:
     def clip_shape(self):
         return self.clips.shape[1:]
 
-    def equals(self, other) -> bool:
-        return (
-            np.array_equal(self.clips, other.clips)
-            and np.array_equal(self.labels, other.labels)
-            and self.manifest == other.manifest
-        )
-
 
 def temporal_profiles(classes: int, t: int) -> np.ndarray:
     """Distinct per-class intensity profiles: permutations of one level set."""
@@ -163,32 +156,28 @@ def generate_synthetic(spec: SynthSpec, seed: int) -> ClipDataset:
     clips = np.zeros((n, c_ch, t, h, w))
     labels = np.zeros(n, dtype=np.int64)
 
-    if spec.mode in ("temporal_only", "mixed"):
-        if spec.mode == "mixed":
-            _, k_t = spec.mixed_factors()
-            profiles = temporal_profiles(k_t, t)
-        else:
-            profiles = temporal_profiles(spec.classes, t)
+    if spec.mode == "mixed":
+        _, k_t = spec.mixed_factors()
+        profiles = temporal_profiles(k_t, t)
+    elif spec.mode == "temporal_only":
+        profiles = temporal_profiles(spec.classes, t)
 
     idx = 0
     for cls in range(spec.classes):
         for _ in range(spec.clips_per_class):
             if spec.mode == "spatial_only":
                 frame = _stamped_pattern(GLYPHS[cls], h, w, rng)
-                clip = np.broadcast_to(frame, (t, h, w)).copy()
+                clip = np.broadcast_to(frame, (t, h, w))
             elif spec.mode == "temporal_only":
                 pattern = _mean_one_pattern(_stamped_pattern(GLYPHS[0], h, w, rng))
                 clip = profiles[cls][:, None, None] * pattern[None, :, :]
             else:  # mixed
-                k_s, k_t = spec.mixed_factors()
                 cs, ct = divmod(cls, k_t)
                 pattern = _mean_one_pattern(_stamped_pattern(GLYPHS[cs], h, w, rng))
                 clip = profiles[ct][:, None, None] * pattern[None, :, :]
             if spec.noise_sigma > 0:
                 clip = clip + rng.normal(0.0, spec.noise_sigma, size=(c_ch, t, h, w))
-                clips[idx] = clip
-            else:
-                clips[idx, :] = clip[None] if clip.ndim == 3 else clip
+            clips[idx] = clip  # a noiseless (T, H, W) clip repeats over the channels
             labels[idx] = cls
             idx += 1
 

@@ -92,7 +92,10 @@ class GateParams:
     @classmethod
     def from_json(cls, obj: dict) -> "GateParams":
         params = cls(obj["edge_counts"], obj["blocks"], tau=obj["tau"])
-        for lg, rec in zip(params.layers, obj["layers"]):
+        records = obj["layers"]
+        if len(records) != params.num_layers:
+            raise ContractError(f"gates JSON lists {len(records)} layers but edge_counts has {params.num_layers}")
+        for lg, rec in zip(params.layers, records):
             lg.edge.data = np.float64(_logit(rec["p_edge"]))
             lg.s.data = np.float64(_logit(rec["p_S"]))
             lg.st.data = np.float64(_logit(rec["p_ST"]))
@@ -267,21 +270,6 @@ def unit_composition(p_s: float, p_st: float) -> dict:
         "ST": p_s * (1 - p_st),
         "S+ST": (1 - p_s) * (1 - p_st),
         "skip": p_s * p_st,
-    }
-
-
-def monte_carlo_unit_marginal(params: GateParams, layer: int, n: int, rng: np.random.Generator) -> dict:
-    """Empirical frequencies of the realized unit at one layer over n hard draws."""
-    if n < 1:
-        raise ContractError(f"need n >= 1 draws, got {n}")
-    _, ps, pst = params.drop_probs()[layer - 1]
-    keep_s = rng.random(n) > ps
-    keep_st = rng.random(n) > pst
-    return {
-        "S": float(np.mean(keep_s & ~keep_st)),
-        "ST": float(np.mean(~keep_s & keep_st)),
-        "S+ST": float(np.mean(keep_s & keep_st)),
-        "skip": float(np.mean(~keep_s & ~keep_st)),
     }
 
 

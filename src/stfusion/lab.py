@@ -99,42 +99,47 @@ def train_template(
     all_on = GateSample.all_on(net.config)
 
     opt_w = SGD(net.parameters(), schedule.lr, momentum=0.9)
-    epoch = 0
-    for _ in range(schedule.warmup_epochs):
-        opt_w.lr = schedule.lr_at(epoch)
-        nlls = []
-        for clips, labels in D.batches(train, schedule.batch_size, schedule.seed, epoch):
-            logits = net.forward(Tensor(clips), all_on, training=True)
-            loss = softmax_cross_entropy(logits, labels)
-            if not np.isfinite(loss.item()):
-                raise TrainingDiverged(epoch)
-            backward(loss)
-            opt_w.step()
+    warmup_loss = lambda x, labels: (softmax_cross_entropy(net.forward(x, all_on, training=True), labels), None)
+    for epoch in range(schedule.warmup_epochs):
+        _sgd_epoch(opt_w, train, schedule, epoch, warmup_loss)
         # epoch-level breakdown at the (fixed) initial gate parameters
         nll_epoch = _epoch_nll(net, all_on, train)
         bd = objective(Tensor(np.float64(nll_epoch)), params, net.gated_parameters(), cfg)
         history.append(_record("warmup", epoch, bd.to_json(), template_accuracy(net, val)))
-        epoch += 1
+
+    def relaxed_loss(x, labels):
+        sample = G.sample_gates_concrete(params, gate_rng)
+        nll = softmax_cross_entropy(net.forward(x, sample, training=True), labels)
+        bd = objective(nll, params, net.gated_parameters(), cfg)
+        return bd.total_tensor, bd.to_json()
 
     opt = SGD(net.parameters() + params.trainable_tensors(), schedule.lr, momentum=0.9)
     for main_epoch in range(schedule.main_epochs):
+        epoch = schedule.warmup_epochs + main_epoch
         params.tau = G.temperature_schedule(main_epoch, max(schedule.main_epochs - 1, 1))
-        opt.lr = schedule.lr_at(epoch)
-        bds = []
-        for clips, labels in D.batches(train, schedule.batch_size, schedule.seed, epoch):
-            sample = G.sample_gates_concrete(params, gate_rng)
-            logits = net.forward(Tensor(clips), sample, training=True)
-            nll = softmax_cross_entropy(logits, labels)
-            bd = objective(nll, params, net.gated_parameters(), cfg)
-            if not np.isfinite(bd.total):
-                raise TrainingDiverged(epoch)
-            backward(bd.total_tensor)
-            opt.step()
-            bds.append(bd.to_json())
+        bds = _sgd_epoch(opt, train, schedule, epoch, relaxed_loss)
         mean = {key: float(np.mean([b[key] for b in bds])) for key in bds[0]}
         history.append(_record("main", epoch, mean, template_accuracy(net, val), tau=params.tau))
-        epoch += 1
     return history
+
+
+def _sgd_epoch(opt: SGD, train: D.ClipDataset, schedule: TrainSchedule, epoch: int, loss_of) -> list:
+    """One shuffled SGD pass over `train` at the epoch's learning rate.
+
+    `loss_of(x, labels)` returns (scalar loss tensor, record); the records
+    come back in batch order. Each batch's graph lives only in this frame, so
+    none of it outlives the epoch into the caller's evaluation passes.
+    """
+    opt.lr = schedule.lr_at(epoch)
+    records = []
+    for clips, labels in D.batches(train, schedule.batch_size, schedule.seed, epoch):
+        loss, record = loss_of(Tensor(clips), labels)
+        if not np.isfinite(loss.item()):
+            raise TrainingDiverged(epoch)
+        backward(loss)
+        opt.step()
+        records.append(record)
+    return records
 
 
 def _epoch_nll(net, gates, train) -> float:
@@ -156,7 +161,7 @@ def _record(phase, epoch, breakdown: dict, val_acc, **extra):
 # posterior sampling and training-free evaluation
 # ---------------------------------------------------------------------------
 
-def sample_strategies(net: TemplateNetwork, params: GateParams, count: int, rng) -> list:
+def sample_strategies(params: GateParams, count: int, rng) -> list:
     """i.i.d. posterior strategy draws (with replacement; duplicates allowed)."""
     return [recover_strategy(G.sample_gates_hard(params, rng)) for _ in range(count)]
 
@@ -290,17 +295,10 @@ def train_standalone(
         raise ContractError("training dataset is empty")
     sub = Subnetwork(TemplateNetwork(config, seed=schedule.seed), strategy)
     opt = SGD(sub.active_parameters(), schedule.lr, momentum=0.9)
-    total_epochs = schedule.warmup_epochs + schedule.main_epochs
+    loss_of = lambda x, labels: (softmax_cross_entropy(sub.forward(x, training=True), labels), None)
     best = 0.0
-    for epoch in range(total_epochs):
-        opt.lr = schedule.lr_at(epoch)
-        for clips, labels in D.batches(train, schedule.batch_size, schedule.seed, epoch):
-            logits = sub.forward(Tensor(clips), training=True)
-            loss = softmax_cross_entropy(logits, labels)
-            if not np.isfinite(loss.item()):
-                raise TrainingDiverged(epoch)
-            backward(loss)
-            opt.step()
+    for epoch in range(schedule.warmup_epochs + schedule.main_epochs):
+        _sgd_epoch(opt, train, schedule, epoch, loss_of)
         best = max(best, _accuracy(lambda x: sub.forward(x, training=False), val))
     return best
 

@@ -13,6 +13,7 @@ and is ignored (False in recovered strategies) across block boundaries.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -76,13 +77,15 @@ class FusionStrategy:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FusionStrategy":
-        layers = tuple(
-            StrategyLayer(l=rec["l"], v=tuple(bool(b) for b in rec["v"]), u=_UNIT_FROM_NAME[rec["u"]])
-            for rec in obj["layers"]
-        )
+        layers = []
+        for i, rec in enumerate(obj["layers"], start=1):
+            u = rec["u"]
+            if u not in _UNIT_FROM_NAME:
+                raise ContractError(f"strategy layer {i} has unknown unit {u!r}; units: {', '.join(_UNIT_FROM_NAME)}")
+            layers.append(StrategyLayer(l=rec["l"], v=tuple(bool(b) for b in rec["v"]), u=_UNIT_FROM_NAME[u]))
         if len(layers) != obj["L"]:
             raise ContractError(f"strategy JSON claims L={obj['L']} but lists {len(layers)} layers")
-        return cls(layers=layers)
+        return cls(layers=tuple(layers))
 
 
 def strategy_from_literature(name: str, num_layers: int) -> FusionStrategy:
@@ -110,20 +113,12 @@ def enumerate_all_strategies(num_layers: int) -> list:
     count = 3 ** num_layers
     if count > 100000:
         raise SizeGuardError(f"3^{num_layers} = {count} strategies exceeds the 100000 guard")
-    strategies = []
-    for code in range(count):
-        digits = []
-        c = code
-        for _ in range(num_layers):
-            digits.append(c % 3)
-            c //= 3
-        digits.reverse()
-        layers = tuple(
-            StrategyLayer(l=i, v=(True,) * i, u=FusionUnitKind(d))
-            for i, d in enumerate(digits, start=1)
-        )
-        strategies.append(FusionStrategy(layers=layers))
-    return strategies
+    return [
+        FusionStrategy(layers=tuple(
+            StrategyLayer(l=i, v=(True,) * i, u=FusionUnitKind(d)) for i, d in enumerate(digits, start=1)
+        ))
+        for digits in itertools.product(range(3), repeat=num_layers)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +390,16 @@ class TemplateNetwork:
 # strategy <-> gates
 # ---------------------------------------------------------------------------
 
-def _block_position(blocks, layer_index):
-    """(block, in-block 1-based position) of a global layer index."""
-    num_blocks, per_block = blocks
-    b = (layer_index - 1) // per_block
-    j = (layer_index - 1) % per_block + 1
-    return b, j
+def _first_in_block(per_block: int, layer_index: int) -> int:
+    """Global index of the first layer in the block holding a 1-based global layer index."""
+    return layer_index - (layer_index - 1) % per_block
 
 
 def gates_from_strategy(strategy: FusionStrategy, blocks) -> GateSample:
     """Hard gates implied by a strategy under the v-slot convention."""
     layers = []
     for layer in strategy.layers:
-        b, j = _block_position(blocks, layer.l)
-        first_in_block = layer.l - j + 1
+        first_in_block = _first_in_block(blocks[1], layer.l)
         edges = [1.0 if layer.v[0] else 0.0]
         for pred in range(first_in_block, layer.l):
             edges.append(1.0 if layer.v[pred] else 0.0)
@@ -428,8 +419,7 @@ def recover_strategy(gates: GateSample) -> FusionStrategy:
     """Read the fusion strategy back from a binary gate sample."""
     layers = []
     for i, lg in enumerate(gates.layers, start=1):
-        b, j = _block_position(gates.blocks, i)
-        first_in_block = i - j + 1
+        first_in_block = _first_in_block(gates.blocks[1], i)
         v = [False] * i
         v[0] = float(lg.edges[0]) == 1.0
         for e, pred in enumerate(range(first_in_block, i), start=1):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stfusion import tensor as T
+from stfusion.errors import ContractError
 
 
 def linear_probe(out, rng):
@@ -40,6 +41,30 @@ def max_rel_error(make_loss, tensors, h=1e-5):
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-8)
         worst = max(worst, err)
     return worst
+
+
+def clip_datasets_equal(a, b) -> bool:
+    """Same clips, labels and manifest."""
+    return np.array_equal(a.clips, b.clips) and np.array_equal(a.labels, b.labels) and a.manifest == b.manifest
+
+
+def monte_carlo_unit_marginal(params, layer: int, n: int, rng) -> dict:
+    """Empirical frequencies of the realized unit at one layer over n hard draws.
+
+    Reference for the closed-form `gates.unit_composition`: draws all S noise,
+    then all ST noise.
+    """
+    if n < 1:
+        raise ContractError(f"need n >= 1 draws, got {n}")
+    _, ps, pst = params.drop_probs()[layer - 1]
+    keep_s = rng.random(n) > ps
+    keep_st = rng.random(n) > pst
+    return {
+        "S": float(np.mean(keep_s & ~keep_st)),
+        "ST": float(np.mean(~keep_s & keep_st)),
+        "S+ST": float(np.mean(keep_s & keep_st)),
+        "skip": float(np.mean(~keep_s & ~keep_st)),
+    }
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from stfusion.gates import (
     ObjectiveConfig,
     _concrete_site,
     marginal_eq7,
-    monte_carlo_unit_marginal,
     objective,
     sample_gates_hard,
     unit_composition,
@@ -35,7 +34,7 @@ from stfusion.model import (
     gates_from_strategy,
     recover_strategy,
 )
-from conftest import fd_gradient, linear_probe, max_rel_error
+from conftest import fd_gradient, linear_probe, max_rel_error, monte_carlo_unit_marginal
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -295,7 +294,7 @@ def test_criterion_7_posterior_vs_oracle():
         rho = L.rank_correlation(posterior, oracle)
         rhos.append(rho)
 
-        samples = L.sample_strategies(net, params, 30, np.random.default_rng(seed))
+        samples = L.sample_strategies(params, 30, np.random.default_rng(seed))
         best = L.select_best([L.evaluate_strategy(net, s, val) for s in samples])
         best_oracle = L.train_standalone(best.strategy, cfg, train, val, sched)
         median = float(np.median(oracle))

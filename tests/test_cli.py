@@ -16,6 +16,7 @@ from stfusion.config import load_run_config
 from stfusion.gates import GateParams
 from stfusion.lab import PreferenceReport
 from stfusion.model import TemplateNetwork
+from conftest import clip_datasets_equal
 
 
 def base_config(**overrides):
@@ -83,7 +84,7 @@ class TestGenerate:
         invoke(runner, ["generate", "--config", cfg_path, "--workdir", str(wd2), "--seed", "99"])
         a = D.load(wd1 / cli.DATASET_FILE)
         b = D.load(wd2 / cli.DATASET_FILE)
-        assert not a.equals(b)
+        assert not clip_datasets_equal(a, b)
 
     def test_missing_field_exit_2(self, runner, tmp_path):
         cfg = base_config()
@@ -212,7 +213,7 @@ class TestSampleEvalAndReport:
         _, val = D.split(D.load(wd / cli.DATASET_FILE), cfg.data.train_frac, cfg.data.seed)
         net = TemplateNetwork(cfg.template, seed=cfg.schedule.seed)
         cli._load_weights(net, wd / cli.WEIGHTS_FILE)
-        draws = L.sample_strategies(net, GateParams.load(wd / cli.GATES_FILE), cfg.sampling.count,
+        draws = L.sample_strategies(GateParams.load(wd / cli.GATES_FILE), cfg.sampling.count,
                                     np.random.default_rng(cfg.sampling.seed))
         assert len(set(draws)) < len(draws)
         L.write_evaluations_csv([L.evaluate_strategy(net, s, val) for s in draws], tmp_path / "reference.csv")
@@ -230,6 +231,25 @@ class TestSampleEvalAndReport:
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("artifact does not match config: "), result.output
         assert "strategy has 1 layers, template has 2" in lines[0]
+        assert not (wd / cli.PREFERENCE_FILE).exists()
+
+    @pytest.mark.parametrize("artifact, corrupt, message", [
+        (cli.BEST_FILE, lambda obj: obj["strategy"]["layers"][1].update(u="T"),
+         "strategy layer 2 has unknown unit 'T'"),
+        (cli.GATES_FILE, lambda obj: obj.update(layers=obj["layers"][:1]),
+         "gates JSON lists 1 layers but edge_counts has 2"),
+    ], ids=["unknown-unit", "gates-missing-a-layer"])
+    def test_malformed_artifact_exit_6(self, runner, trained, artifact, corrupt, message):
+        cfg_path, wd = trained
+        invoke(runner, ["sample-eval", "--config", cfg_path, "--workdir", str(wd)])
+        obj = json.loads((wd / artifact).read_text())
+        corrupt(obj)
+        (wd / artifact).write_text(json.dumps(obj))
+        result = runner.invoke(cli.main, ["report", "--config", cfg_path, "--workdir", str(wd)])
+        assert result.exit_code == cli.EXIT_MISMATCH
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("artifact does not match config: "), result.output
+        assert message in lines[0]
         assert not (wd / cli.PREFERENCE_FILE).exists()
 
     @pytest.mark.parametrize("stage", ["sample-eval", "report"])

@@ -5,6 +5,7 @@ import pytest
 
 from stfusion import data as D
 from stfusion.errors import ConfigurationError, ContractError, FormatError
+from conftest import clip_datasets_equal
 
 TEMPORAL = D.SynthSpec(mode="temporal_only", classes=2, clips_per_class=10,
                        clip_shape=(1, 8, 12, 12), noise_sigma=0.0)
@@ -43,7 +44,7 @@ class TestGenerate:
     def test_determinism(self):
         a = D.generate_synthetic(MIXED, seed=3)
         b = D.generate_synthetic(MIXED, seed=3)
-        assert a.equals(b)
+        assert clip_datasets_equal(a, b)
 
     def test_spatial_class_is_frame_wise(self):
         # class stays recoverable by per-frame template match after any frame permutation
@@ -100,7 +101,7 @@ class TestSplit:
         ds = D.generate_synthetic(TEMPORAL, seed=0)
         a = D.split(ds, 0.7, seed=9)
         b = D.split(ds, 0.7, seed=9)
-        assert a[0].equals(b[0]) and a[1].equals(b[1])
+        assert clip_datasets_equal(a[0], b[0]) and clip_datasets_equal(a[1], b[1])
 
     def test_partition(self):
         ds = D.generate_synthetic(MIXED, seed=4)
@@ -125,7 +126,7 @@ class TestSaveLoad:
         path = tmp_path / "clips.stfd"
         D.save(ds, path)
         loaded = D.load(path)
-        assert loaded.equals(ds)
+        assert clip_datasets_equal(loaded, ds)
 
     def test_truncated_file(self, tmp_path):
         ds = D.generate_synthetic(TEMPORAL, seed=7)

@@ -11,7 +11,6 @@ from stfusion.gates import (
     GateParams,
     ObjectiveConfig,
     marginal_eq7,
-    monte_carlo_unit_marginal,
     objective,
     sample_gates_concrete,
     sample_gates_hard,
@@ -19,7 +18,7 @@ from stfusion.gates import (
     unit_composition,
 )
 from stfusion.model import TemplateConfig, TemplateNetwork
-from conftest import fd_gradient
+from conftest import fd_gradient, monte_carlo_unit_marginal
 
 CFG = TemplateConfig(
     num_blocks=1, layers_per_block=2, growth_channels=3, stem_channels=3,

@@ -1,5 +1,6 @@
 import json
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -121,21 +122,19 @@ class TestSelectBest:
 
 class TestSampling:
     def test_degenerate_posterior_always_full(self):
-        net = TemplateNetwork(CFG, seed=0)
         params = GateParams.for_config(CFG, init_drop=0.0)
         for lg in params.layers:
             lg.edge.data = np.float64(-60.0)
             lg.s.data = np.float64(-60.0)
             lg.st.data = np.float64(-60.0)
         full = strategy_from_literature("mixed_everywhere", CFG.total_layers)
-        for strat in L.sample_strategies(net, params, 20, np.random.default_rng(0)):
+        for strat in L.sample_strategies(params, 20, np.random.default_rng(0)):
             assert strat.to_json() == full.to_json()
 
     def test_count_and_determinism(self):
-        net = TemplateNetwork(CFG, seed=0)
         params = GateParams.for_config(CFG, init_drop=0.5)
-        a = L.sample_strategies(net, params, 30, np.random.default_rng(7))
-        b = L.sample_strategies(net, params, 30, np.random.default_rng(7))
+        a = L.sample_strategies(params, 30, np.random.default_rng(7))
+        b = L.sample_strategies(params, 30, np.random.default_rng(7))
         assert len(a) == 30
         assert [s.to_json() for s in a] == [s.to_json() for s in b]
 
@@ -226,8 +225,8 @@ class TestEvaluateStrategies:
         assert _fields(L.evaluate_strategies(net, draws, val, recalibrate=recalibrate)) == _fields(reference)
         assert _checksum(net) == before
 
-    def _posterior_draws(self, cfg, net):
-        draws = L.sample_strategies(net, GateParams.for_config(cfg, init_drop=0.1), 30, np.random.default_rng(3))
+    def _posterior_draws(self, cfg):
+        draws = L.sample_strategies(GateParams.for_config(cfg, init_drop=0.1), 30, np.random.default_rng(3))
         assert len(set(draws)) < len(draws)
         return draws
 
@@ -240,12 +239,12 @@ class TestEvaluateStrategies:
         train, val = long_splits
         net = _warmed_up(CFG2, train, val)
         assert len(net.transitions) == 1
-        self._assert_matches_reference(net, self._posterior_draws(CFG2, net), val)
+        self._assert_matches_reference(net, self._posterior_draws(CFG2), val)
 
     def test_recalibrated_posterior_draws(self, long_splits, monkeypatch):
         train, val = long_splits
         net = _warmed_up(CFG2, train, val)
-        draws = self._posterior_draws(CFG2, net)
+        draws = self._posterior_draws(CFG2)
         self._assert_matches_reference(net, draws, val, recalibrate=train)
         scored = []
         reference = L.evaluate_strategy
@@ -342,6 +341,45 @@ class TestTrainStandalone:
         b = L.train_standalone(strat, CFG, train, val, sched)
         assert a == b
         assert 0.0 <= a <= 1.0
+
+
+class TestTrainingGraphLifetime:
+    # (warmup_epochs, main_epochs, evaluation passes that start): a warmup epoch
+    # runs _epoch_nll and template_accuracy (which calls _accuracy), a main
+    # epoch template_accuracy, a standalone epoch _accuracy.
+    RUNS = {"warmup": (2, 0, 6), "main": (0, 2, 4), "standalone": (1, 1, 2)}
+
+    @pytest.mark.parametrize("phase", sorted(RUNS))
+    def test_no_batch_graph_outlives_its_epoch(self, tiny_splits, monkeypatch, phase):
+        train, val = tiny_splits
+        warmup, main, passes = self.RUNS[phase]
+        losses = []  # Tensor has __slots__ without __weakref__, so refer to its data
+        xent = L.softmax_cross_entropy
+
+        def recorded_xent(logits, labels):
+            loss = xent(logits, labels)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        live_at_eval = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                live_at_eval.append(sum(ref() is not None for ref in losses))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(L, "softmax_cross_entropy", recorded_xent)
+        for name in ("template_accuracy", "_epoch_nll", "_accuracy"):
+            monkeypatch.setattr(L, name, counted(getattr(L, name)))
+        sched = L.TrainSchedule(warmup_epochs=warmup, main_epochs=main, batch_size=4, lr=0.02, seed=7)
+        if phase == "standalone":
+            L.train_standalone(strategy_from_literature("top_heavy", CFG.total_layers), CFG, train, val, sched)
+        else:
+            L.train_template(TemplateNetwork(CFG, seed=7), GateParams.for_config(CFG), train, val, sched,
+                             ObjectiveConfig(k=1.0, n_train=len(train)))
+        assert len(losses) >= 2 * (warmup + main)  # two training batches per epoch
+        assert live_at_eval == [0] * passes
 
 
 class TestReports:

@@ -1,5 +1,6 @@
 """The benchmark's traced launcher still finds and wraps the ops it names."""
 import json
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 def test_tracer_runs_the_pipeline(tmp_path):
     cfg_path = write_config(tmp_path, base_config())
-    names = set()
+    counts = {}
     for stage in ("generate", "train", "sample-eval"):
         spans = tmp_path / f"{stage}.spans.json"
         result = subprocess.run(
@@ -19,5 +20,9 @@ def test_tracer_runs_the_pipeline(tmp_path):
             env=source_env(), capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-        names |= {span[0] for span in json.loads(spans.read_text())["spans"]}
+        counts[stage] = Counter(span[0] for span in json.loads(spans.read_text())["spans"])
+    names = set().union(*counts.values())
     assert {"tensor.conv2d.fwd", "tensor.conv1d.bwd", "tensor.bn_eval.fwd"} <= names
+    # The tracer names an epoch only while train_template is the innermost span;
+    # base_config trains 2 warmup and 2 main epochs.
+    assert (counts["train"]["lab.warmup_epoch"], counts["train"]["lab.main_epoch"]) == (2, 2)
