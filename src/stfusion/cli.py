@@ -4,7 +4,7 @@
              [--workdir PATH] [--seed INT] [--jobs INT]
 
 Exit codes: 0 ok, 2 config error, 3 training divergence, 4 missing artifact,
-5 enumeration size guard, 6 artifact does not match config.
+5 enumeration size guard, 6 artifact unreadable or does not match config.
 """
 from __future__ import annotations
 
@@ -12,7 +12,9 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
+from zipfile import BadZipFile
 
 import click
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from . import data as D
 from . import lab
 from .config import RunConfig, load_run_config, override_seed
-from .errors import ConfigurationError, ContractError, ShapeError, SizeGuardError, TrainingDiverged
+from .errors import ConfigurationError, ContractError, SizeGuardError, TrainingDiverged
 from .gates import GateParams, ObjectiveConfig
 from .model import FusionStrategy, TemplateNetwork, enumerate_all_strategies
 
@@ -62,8 +64,9 @@ def _require(path: Path):
 
 
 def _load_dataset_splits(cfg: RunConfig, wd: Path):
-    dataset = D.load(_require(wd / DATASET_FILE))
-    return D.split(dataset, cfg.data.train_frac, cfg.data.seed)
+    path = _require(wd / DATASET_FILE)
+    with _readable(path):  # a class with fewer than two clips cannot be split
+        return D.split(D.load(path), cfg.data.train_frac, cfg.data.seed)
 
 
 def _save_weights(net, path):
@@ -75,20 +78,24 @@ def _mismatch(path, problem):
     sys.exit(EXIT_MISMATCH)
 
 
+@contextmanager
+def _readable(path):
+    """Exit 6 if the body fails to read the artifact at `path`, or finds it inconsistent with itself."""
+    try:
+        yield
+    except (KeyError, ContractError, ValueError, TypeError, EOFError, BadZipFile) as exc:
+        _mismatch(path, f"missing key {exc}" if isinstance(exc, KeyError) else exc)
+
+
 def _load_weights(net, path):
-    with np.load(path) as archive:
-        try:
-            net.load_state_dict(dict(archive))
-        except ShapeError as exc:
-            _mismatch(path, exc)
+    with _readable(path), np.load(path) as archive:
+        net.load_state_dict(dict(archive))
 
 
 def _load_gates(cfg: RunConfig, wd: Path) -> GateParams:
     path = _require(wd / GATES_FILE)
-    try:
+    with _readable(path):
         params = GateParams.load(path)
-    except ContractError as exc:
-        _mismatch(path, exc)
     expected = GateParams.for_config(cfg.template)
     if (params.blocks, params.edge_counts) != (expected.blocks, expected.edge_counts):
         _mismatch(path, f"gate layout has blocks {list(params.blocks)}, edge_counts {params.edge_counts}; "
@@ -98,12 +105,8 @@ def _load_gates(cfg: RunConfig, wd: Path) -> GateParams:
 
 def _load_best_strategy(cfg: RunConfig, wd: Path) -> FusionStrategy:
     path = _require(wd / BEST_FILE)
-    with open(path) as f:
-        obj = json.load(f)["strategy"]
-    try:
-        best = FusionStrategy.from_json(obj).validate()
-    except ContractError as exc:
-        _mismatch(path, exc)
+    with _readable(path):
+        best = FusionStrategy.from_json(json.loads(path.read_text())["strategy"]).validate()
     if best.num_layers != cfg.template.total_layers:
         _mismatch(path, f"strategy has {best.num_layers} layers, template has {cfg.template.total_layers}")
     return best
@@ -169,7 +172,7 @@ def sample_eval(config_path, workdir, seed):
     rng = np.random.default_rng(cfg.sampling.seed)
     strategies = lab.sample_strategies(params, cfg.sampling.count, rng)
     recal = train_set if cfg.sampling.recalibrate_bn else None
-    evals = lab.evaluate_strategies(net, strategies, val_set, recalibrate=recal)
+    evals = lab.evaluate_strategy(net, strategies, val_set, recalibrate=recal)
     lab.write_evaluations_csv(evals, wd / EVALS_FILE)
     best = lab.select_best(evals) if evals else None
     if best is not None:
@@ -232,7 +235,7 @@ def oracle(config_path, workdir, seed, jobs):
     _load_weights(net, _require(wd / WEIGHTS_FILE))
 
     recal = train_set if cfg.sampling.recalibrate_bn else None
-    posterior = [ev.val_accuracy for ev in lab.evaluate_strategies(net, strategies, val_set, recalibrate=recal)]
+    posterior = [ev.val_accuracy for ev in lab.evaluate_strategy(net, strategies, val_set, recalibrate=recal)]
 
     inputs = (cfg, train_set, val_set)
     try:

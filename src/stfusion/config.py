@@ -19,6 +19,8 @@ class DataConfig:
     def __post_init__(self):
         if not 0.0 < self.train_frac < 1.0:
             raise ConfigurationError(f"train_frac must lie in (0, 1), got {self.train_frac}")
+        if self.spec.clips_per_class < 2:  # the stratified split puts one clip of each class on each side
+            raise ConfigurationError(f"clips_per_class must be >= 2, got {self.spec.clips_per_class}")
 
 
 @dataclass(frozen=True)

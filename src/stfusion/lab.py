@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as D
 from . import gates as G
-from .errors import ContractError, TrainingDiverged
+from .errors import ConfigurationError, ContractError, TrainingDiverged
 from .gates import GateParams, GateSample, ObjectiveConfig, objective
 from .model import FusionStrategy, Subnetwork, TemplateNetwork, recover_strategy, unit_name
 from .tensor import SGD, Tensor, backward, softmax_cross_entropy
@@ -30,9 +31,11 @@ class TrainSchedule:
 
     def __post_init__(self):
         if self.warmup_epochs < 0 or self.main_epochs < 0:
-            raise ContractError("epoch counts must be >= 0")
+            raise ConfigurationError("epoch counts must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
-            raise ContractError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
+            raise ConfigurationError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
 
     def lr_at(self, epoch: int) -> float:
         lr = self.lr
@@ -168,101 +171,92 @@ def sample_strategies(params: GateParams, count: int, rng) -> list:
 
 def evaluate_strategy(
     net: TemplateNetwork,
-    strategy: FusionStrategy,
-    val: D.ClipDataset,
-    recalibrate: D.ClipDataset | None = None,
-) -> StrategyEvaluation:
-    """Training-free evaluation of a materialized strategy on held-out data.
-
-    If `recalibrate` is given, batch-norm running statistics are re-estimated
-    over one pass of that dataset for this evaluation only; the template's
-    stored statistics are restored afterwards.
-    """
-    if len(val) == 0:
-        raise ContractError("validation dataset is empty")
-    sub = Subnetwork(net, strategy)
-    snapshot = None
-    if recalibrate is not None:
-        snapshot = [bn.state() for bn in net.batch_norms()]
-        for bn in net.batch_norms():
-            bn.initialized = False
-        for clips, _ in _in_order(recalibrate):
-            sub.forward(Tensor(clips), training=True)
-    try:
-        acc = _accuracy(lambda x: sub.forward(x, training=False), val)
-    finally:
-        if snapshot is not None:
-            for bn, state in zip(net.batch_norms(), snapshot):
-                bn.load_state(state)
-    return StrategyEvaluation(
-        strategy=strategy,
-        val_accuracy=acc,
-        active_param_count=sub.active_param_count(),
-        mult_add_proxy=sub.mult_add_proxy(),
-    )
-
-
-def evaluate_strategies(
-    net: TemplateNetwork,
     strategies: list,
     val: D.ClipDataset,
     recalibrate: D.ClipDataset | None = None,
 ) -> list:
-    """`evaluate_strategy` of every draw, in draw order, scoring each distinct strategy once.
+    """Training-free evaluation of every draw on held-out data, in draw order.
 
-    Without recalibration the distinct strategies share one walk of their
-    hard-gate prefix trie per validation batch (see `_prefix_walk`). With it,
-    each distinct strategy gets its own `evaluate_strategy`, because the
-    re-estimated statistics depend on the whole strategy.
+    Each distinct strategy is scored once; they share one walk of their
+    hard-gate prefix trie per batch (see `_prefix_walk`). With `recalibrate`,
+    each trie node first re-estimates its batch-norm running statistics over
+    one train-mode pass of that dataset, as each strategy run alone would;
+    the template's stored statistics are restored afterwards.
     """
     if len(val) == 0:
         raise ContractError("validation dataset is empty")
-    distinct = list(dict.fromkeys(strategies))
-    if recalibrate is not None:
-        scored = [evaluate_strategy(net, s, val, recalibrate) for s in distinct]
-    else:
-        subs = [Subnetwork(net, s) for s in distinct]
-        gates = [sub.gates for sub in subs]
-        correct = [0] * len(subs)
+    subs = [Subnetwork(net, s) for s in dict.fromkeys(strategies)]
+    states = None if recalibrate is None else {}
+    walk = lambda clips, training: _prefix_walk(
+        net, subs, range(len(subs)), [net.stem_step(Tensor(clips))], 0, training, states, ())
+    snapshot = [bn.state() for bn in net.batch_norms()]
+    correct = [0] * len(subs)
+    try:
+        if recalibrate is not None:
+            for clips, _ in _in_order(recalibrate):
+                for _ in walk(clips, True):
+                    pass
         for clips, labels in _in_order(val):
-            walk = _prefix_walk(net, gates, range(len(subs)), [net.stem_step(Tensor(clips))], 0)
-            for member, predicted in walk:
+            for member, predicted in walk(clips, False):
                 correct[member] += int(np.sum(predicted == labels))
-        scored = [
-            StrategyEvaluation(sub.strategy, c / len(val), sub.active_param_count(), sub.mult_add_proxy())
-            for sub, c in zip(subs, correct)
-        ]
-    by_strategy = dict(zip(distinct, scored))
-    return [by_strategy[s] for s in strategies]
+    finally:
+        for bn, state in zip(net.batch_norms(), snapshot):
+            bn.load_state(state)
+    scored = {sub.strategy: StrategyEvaluation(sub.strategy, c / len(val), sub.active_param_count(),
+                                               sub.mult_add_proxy()) for sub, c in zip(subs, correct)}
+    return [scored[s] for s in strategies]
 
 
-def _prefix_walk(net: TemplateNetwork, gates: list, members, feats: list, depth: int):
+def _prefix_walk(net: TemplateNetwork, subs: list, members, feats: list, depth: int, training, states, path):
     """Yield (member, predicted labels) for each member whose gates agree on layers before `depth`.
 
-    `feats` holds the features of the current block so far. Eval-mode batch
-    norm uses fixed statistics, so layer `depth` sees the same input for every
-    member: each distinct gate of that layer runs once, and its subtree is
-    walked before the next sibling is computed, so only the current path is
-    held. A block end runs once per prefix that reaches it.
+    `feats` holds the current block's features so far, and `path` the gate
+    keys of the layers before `depth`. Batch norm uses the batch's statistics
+    in train mode and the node's in eval mode, so layer `depth` sees the same
+    input for every member: each distinct gate of that layer runs once, and
+    its subtree is walked before the next sibling is computed, so only the
+    current path is held. A block end runs once per prefix that reaches it.
     """
     per_block = net.config.layers_per_block
     if depth and depth % per_block == 0:
-        h = net.block_end_step(depth // per_block - 1, feats, training=False)
+        b = depth // per_block - 1
         if depth == net.config.total_layers:
-            predicted = np.argmax(net.head_step(h, training=False).data, axis=1)
+            with _node_statistics([net.final_bn], path, states):
+                logits = net.head_step(net.block_end_step(b, feats, training), training)
+            predicted = np.argmax(logits.data, axis=1)
             for member in members:
                 yield member, predicted
             return
-        feats = [h]
+        with _node_statistics([net.transitions[b].bn], path, states):
+            feats = [net.block_end_step(b, feats, training)]
     children = {}
     for member in members:
-        lg = gates[member].layers[depth]
+        lg = subs[member].gates.layers[depth]
         children.setdefault((tuple(lg.edges), lg.s, lg.st), []).append(member)
     layer = net.layer_list()[depth]
-    for group in children.values():
-        feats.append(net.layer_step(layer, feats, gates[group[0]].layers[depth], training=False))
-        yield from _prefix_walk(net, gates, group, feats, depth + 1)
+    for key, group in children.items():
+        node = path + (key,)
+        with _node_statistics(layer.batch_norms(), node, states):
+            feats.append(net.layer_step(layer, feats, subs[group[0]].gates.layers[depth], training))
+        yield from _prefix_walk(net, subs, group, feats, depth + 1, training, states, node)
         feats.pop()
+
+
+@contextmanager
+def _node_statistics(bns: list, node: tuple, states):
+    """Run the body with trie node `node`'s running statistics from `states` in `bns`, then store them back.
+
+    A node starts unseeded, so its first train-mode batch seeds it, as in
+    `BatchNorm`. Without `states` the template's own statistics are used.
+    """
+    if states is None:
+        yield
+        return
+    for bn in bns:
+        bn.load_state(states.get((bn.prefix, node), dict(bn.state(), initialized=False)))
+    yield
+    for bn in bns:
+        states[bn.prefix, node] = bn.state()
 
 
 def _rank_key(ev: StrategyEvaluation) -> tuple:

@@ -333,7 +333,7 @@ class TemplateNetwork:
 
     # -- forward ------------------------------------------------------------
     # The steps of `forward` are public so that a caller evaluating several
-    # gate samples can run the steps they share once (lab.evaluate_strategies).
+    # gate samples can run the steps they share once (lab.evaluate_strategy).
 
     def forward(self, batch: Tensor, gates: GateSample, training: bool) -> Tensor:
         h = self.stem_step(batch)

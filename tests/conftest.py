@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from stfusion import lab as L
 from stfusion import tensor as T
 from stfusion.errors import ContractError
+from stfusion.model import Subnetwork
 
 
 def linear_probe(out, rng):
@@ -65,6 +67,28 @@ def monte_carlo_unit_marginal(params, layer: int, n: int, rng) -> dict:
         "S+ST": float(np.mean(keep_s & keep_st)),
         "skip": float(np.mean(~keep_s & ~keep_st)),
     }
+
+
+def evaluate_one(net, strategy, val, recalibrate=None):
+    """Reference for `lab.evaluate_strategy`: one strategy, run whole, on its own.
+
+    If `recalibrate` is given, every batch-norm's running statistics are
+    re-estimated over one train-mode pass of that dataset through this
+    strategy alone; the template's stored statistics are restored afterwards.
+    """
+    sub = Subnetwork(net, strategy)
+    snapshot = [bn.state() for bn in net.batch_norms()]
+    try:
+        if recalibrate is not None:
+            for bn in net.batch_norms():
+                bn.initialized = False
+            for clips, _ in L._in_order(recalibrate):
+                sub.forward(T.Tensor(clips), training=True)
+        acc = L._accuracy(lambda x: sub.forward(x, training=False), val)
+    finally:
+        for bn, state in zip(net.batch_norms(), snapshot):
+            bn.load_state(state)
+    return L.StrategyEvaluation(strategy, acc, sub.active_param_count(), sub.mult_add_proxy())
 
 
 @pytest.fixture

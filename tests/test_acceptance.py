@@ -289,13 +289,13 @@ def test_criterion_7_posterior_vs_oracle():
         params = GateParams.for_config(cfg, init_drop=0.1)
         L.train_template(net, params, train, val, sched, ObjectiveConfig(k=1.0, n_train=len(train)))
 
-        posterior = [L.evaluate_strategy(net, s, val).val_accuracy for s in strategies]
+        posterior = [ev.val_accuracy for ev in L.evaluate_strategy(net, strategies, val)]
         oracle = [L.train_standalone(s, cfg, train, val, sched) for s in strategies]
         rho = L.rank_correlation(posterior, oracle)
         rhos.append(rho)
 
         samples = L.sample_strategies(params, 30, np.random.default_rng(seed))
-        best = L.select_best([L.evaluate_strategy(net, s, val) for s in samples])
+        best = L.select_best(L.evaluate_strategy(net, samples, val))
         best_oracle = L.train_standalone(best.strategy, cfg, train, val, sched)
         median = float(np.median(oracle))
         win = best_oracle >= median

@@ -16,7 +16,7 @@ from stfusion.config import load_run_config
 from stfusion.gates import GateParams
 from stfusion.lab import PreferenceReport
 from stfusion.model import TemplateNetwork
-from conftest import clip_datasets_equal
+from conftest import clip_datasets_equal, evaluate_one
 
 
 def base_config(**overrides):
@@ -51,6 +51,18 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _edit_json(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+def _keep_one_clip_per_class(path):
+    ds = D.load(path)
+    first = np.unique(ds.labels, return_index=True)[1]
+    D.save(D.ClipDataset(clips=ds.clips[first], labels=ds.labels[first], manifest=ds.manifest), path)
 
 
 @pytest.fixture
@@ -117,6 +129,20 @@ class TestGenerate:
         result = runner.invoke(cli.main, ["generate", "--config", cfg_path, "--workdir", str(tmp_path / "run")])
         assert result.exit_code == cli.EXIT_CONFIG
         assert result.output.splitlines() == [f"config error: config section {section} must be a JSON object"]
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("schedule", "batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("data", "clips_per_class", 1, "clips_per_class must be >= 2, got 1"),
+        ("schedule", "warmup_epochs", -1, "epoch counts must be >= 0"),
+    ], ids=["batch-size-0", "one-clip-per-class", "negative-epochs"])
+    def test_impossible_config_exit_2(self, runner, tmp_path, section, key, value, message):
+        cfg = base_config()
+        cfg[section][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        result = runner.invoke(cli.main, ["generate", "--config", cfg_path, "--workdir", str(tmp_path / "run")])
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert result.output.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
 
     def test_unreadable_config_exit_2(self, runner, tmp_path):
         result = runner.invoke(cli.main, ["generate", "--config", str(tmp_path / "nope.json"),
@@ -216,7 +242,7 @@ class TestSampleEvalAndReport:
         draws = L.sample_strategies(GateParams.load(wd / cli.GATES_FILE), cfg.sampling.count,
                                     np.random.default_rng(cfg.sampling.seed))
         assert len(set(draws)) < len(draws)
-        L.write_evaluations_csv([L.evaluate_strategy(net, s, val) for s in draws], tmp_path / "reference.csv")
+        L.write_evaluations_csv([evaluate_one(net, s, val) for s in draws], tmp_path / "reference.csv")
         assert (wd / cli.EVALS_FILE).read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_best_strategy_of_another_template_exit_6(self, runner, trained):
@@ -251,6 +277,35 @@ class TestSampleEvalAndReport:
         assert len(lines) == 1 and lines[0].startswith("artifact does not match config: "), result.output
         assert message in lines[0]
         assert not (wd / cli.PREFERENCE_FILE).exists()
+
+    @pytest.mark.parametrize("stage, artifact, corrupt, message, output", [
+        ("report", cli.GATES_FILE, lambda path: _edit_json(path, lambda obj: obj.pop("tau")),
+         "missing key 'tau'", cli.PREFERENCE_FILE),
+        ("report", cli.GATES_FILE, lambda path: path.write_text("{"),
+         "Expecting property name", cli.PREFERENCE_FILE),
+        ("report", cli.BEST_FILE, lambda path: _edit_json(path, lambda obj: obj["strategy"].pop("layers")),
+         "missing key 'layers'", cli.PREFERENCE_FILE),
+        ("sample-eval", cli.DATASET_FILE, lambda path: path.write_bytes(path.read_bytes()[:2000]),
+         "truncated", cli.EVALS_FILE),
+        ("sample-eval", cli.WEIGHTS_FILE, lambda path: path.write_bytes(path.read_bytes()[:100]),
+         "not a zip file", cli.EVALS_FILE),
+        ("sample-eval", cli.WEIGHTS_FILE, lambda path: path.write_bytes(b""), "No data left in file", cli.EVALS_FILE),
+        ("report", cli.GATES_FILE, lambda path: path.write_text("[]"), "list indices", cli.PREFERENCE_FILE),
+        ("sample-eval", cli.DATASET_FILE, _keep_one_clip_per_class, "has 1 clips, cannot split", cli.EVALS_FILE),
+    ], ids=["gates-without-tau", "gates-not-json", "best-without-layers", "dataset-truncated",
+            "weights-truncated", "weights-empty", "gates-not-an-object", "dataset-one-clip-per-class"])
+    def test_unreadable_artifact_exit_6(self, runner, trained, stage, artifact, corrupt, message, output):
+        cfg_path, wd = trained
+        invoke(runner, ["sample-eval", "--config", cfg_path, "--workdir", str(wd)])
+        (wd / cli.EVALS_FILE).unlink()
+        corrupt(wd / artifact)
+        result = runner.invoke(cli.main, [stage, "--config", cfg_path, "--workdir", str(wd)])
+        assert result.exit_code == cli.EXIT_MISMATCH
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"artifact does not match config: {wd / artifact}: "), \
+            result.output
+        assert message in lines[0]
+        assert not (wd / output).exists()
 
     @pytest.mark.parametrize("stage", ["sample-eval", "report"])
     def test_gates_of_another_template_exit_6(self, runner, trained, stage):

@@ -20,6 +20,7 @@ from stfusion.model import (
     enumerate_all_strategies,
     strategy_from_literature,
 )
+from conftest import evaluate_one
 
 CFG = TemplateConfig(
     num_blocks=1, layers_per_block=2, growth_channels=4, stem_channels=4,
@@ -152,7 +153,7 @@ class TestEvaluateStrategy:
         L.train_template(net, GateParams.for_config(CFG), train, val, sched,
                          ObjectiveConfig(k=1.0, n_train=len(train)))
         full = strategy_from_literature("mixed_everywhere", CFG.total_layers)
-        ev = L.evaluate_strategy(net, full, val)
+        [ev] = L.evaluate_strategy(net, [full], val)
         assert ev.val_accuracy == L.template_accuracy(net, val)
 
     def test_evaluation_leaves_network_untouched(self, tiny_splits):
@@ -162,9 +163,9 @@ class TestEvaluateStrategy:
         L.train_template(net, GateParams.for_config(CFG), train, val, sched,
                          ObjectiveConfig(k=1.0, n_train=len(train)))
         before = _checksum(net)
-        strat = strategy_from_literature("top_heavy", CFG.total_layers)
-        L.evaluate_strategy(net, strat, val)
-        L.evaluate_strategy(net, strat, val, recalibrate=train)
+        strats = [strategy_from_literature(name, CFG.total_layers) for name in ("top_heavy", "bottom_heavy")]
+        L.evaluate_strategy(net, strats, val)
+        L.evaluate_strategy(net, strats, val, recalibrate=train)
         assert _checksum(net) == before
 
     def test_repeat_evaluation_identical(self, tiny_splits):
@@ -174,17 +175,16 @@ class TestEvaluateStrategy:
         L.train_template(net, GateParams.for_config(CFG), train, val, sched,
                          ObjectiveConfig(k=1.0, n_train=len(train)))
         strat = strategy_from_literature("bottom_heavy", CFG.total_layers)
-        a = L.evaluate_strategy(net, strat, val)
-        b = L.evaluate_strategy(net, strat, val)
-        assert (a.val_accuracy, a.active_param_count, a.mult_add_proxy) == \
-               (b.val_accuracy, b.active_param_count, b.mult_add_proxy)
+        a = L.evaluate_strategy(net, [strat], val)
+        b = L.evaluate_strategy(net, [strat], val)
+        assert _fields(a) == _fields(b)
 
     def test_empty_val_rejected(self, tiny_splits):
         train, _ = tiny_splits
         net = TemplateNetwork(CFG, seed=0)
         empty = D.ClipDataset(clips=train.clips[:0], labels=train.labels[:0], manifest=train.manifest)
         with pytest.raises(ContractError):
-            L.evaluate_strategy(net, strategy_from_literature("top_heavy", 2), empty)
+            L.evaluate_strategy(net, [strategy_from_literature("top_heavy", 2)], empty, recalibrate=train)
 
 
 CFG2 = TemplateConfig(
@@ -216,13 +216,13 @@ def _fields(evals):
 
 
 class TestEvaluateStrategies:
-    """The prefix-sharing evaluator against one `evaluate_strategy` per draw."""
+    """`evaluate_strategy` over many draws against `evaluate_one` per draw."""
 
     def _assert_matches_reference(self, net, draws, val, recalibrate=None):
         before = _checksum(net)
-        reference = [L.evaluate_strategy(net, s, val, recalibrate=recalibrate) for s in draws]
+        reference = [evaluate_one(net, s, val, recalibrate=recalibrate) for s in draws]
         assert len({ev.val_accuracy for ev in reference}) > 1  # the strategies are told apart
-        assert _fields(L.evaluate_strategies(net, draws, val, recalibrate=recalibrate)) == _fields(reference)
+        assert _fields(L.evaluate_strategy(net, draws, val, recalibrate=recalibrate)) == _fields(reference)
         assert _checksum(net) == before
 
     def _posterior_draws(self, cfg):
@@ -241,22 +241,20 @@ class TestEvaluateStrategies:
         assert len(net.transitions) == 1
         self._assert_matches_reference(net, self._posterior_draws(CFG2), val)
 
-    def test_recalibrated_posterior_draws(self, long_splits, monkeypatch):
+    def test_recalibrated_posterior_draws(self, long_splits):
         train, val = long_splits
         net = _warmed_up(CFG2, train, val)
         draws = self._posterior_draws(CFG2)
         self._assert_matches_reference(net, draws, val, recalibrate=train)
-        scored = []
-        reference = L.evaluate_strategy
-        monkeypatch.setattr(L, "evaluate_strategy", lambda net, s, *args: scored.append(s) or reference(net, s, *args))
-        L.evaluate_strategies(net, draws, val, recalibrate=train)
-        assert scored == list(dict.fromkeys(draws))  # each distinct strategy once
+        # a recalibration set longer than one batch: each node's statistics
+        # are seeded, then momentum-updated
+        self._assert_matches_reference(net, draws, val, recalibrate=val)
 
     def test_empty_val_rejected(self, tiny_splits):
         train, _ = tiny_splits
         empty = D.ClipDataset(clips=train.clips[:0], labels=train.labels[:0], manifest=train.manifest)
         with pytest.raises(ContractError):
-            L.evaluate_strategies(TemplateNetwork(CFG, seed=0), enumerate_all_strategies(2), empty)
+            L.evaluate_strategy(TemplateNetwork(CFG, seed=0), enumerate_all_strategies(2), empty)
 
     def test_shared_work_is_done_once(self, long_splits, monkeypatch):
         train, val = long_splits
@@ -269,21 +267,25 @@ class TestEvaluateStrategies:
             return conv2d(x, kernel, padding)
 
         monkeypatch.setattr(T, "conv2d_spatial", counted)
-        batches = -(-len(val) // L._EVAL_BATCH)
+        n_batches = lambda ds: -(-len(ds) // L._EVAL_BATCH)
         strat = strategy_from_literature("mixed_everywhere", CFG.total_layers)
-        L.evaluate_strategies(net, [strat], val)
-        once = len(kernels)
-        kernels.clear()
-        L.evaluate_strategies(net, [strat] * 50, val)
-        assert len(kernels) == once
+        for recalibrate in (None, train):
+            # each trie node runs once per recalibration batch plus once per validation batch
+            batches = n_batches(val) + (n_batches(recalibrate) if recalibrate is not None else 0)
+            kernels.clear()
+            L.evaluate_strategy(net, [strat], val, recalibrate=recalibrate)
+            once = len(kernels)
+            kernels.clear()
+            L.evaluate_strategy(net, [strat] * 50, val, recalibrate=recalibrate)
+            assert len(kernels) == once
 
-        kernels.clear()
-        L.evaluate_strategies(net, enumerate_all_strategies(2), val)
-        layer1, layer2 = net.layer_list()
-        uses = lambda p: sum(k is p for k in kernels)
-        assert uses(net.stem) == batches
-        assert uses(layer1.conv_s) == 2 * batches  # S and S+ST at layer 1
-        assert uses(layer2.conv_s) == 3 * 2 * batches  # S and S+ST under each of 3 layer-1 prefixes
+            kernels.clear()
+            L.evaluate_strategy(net, enumerate_all_strategies(2), val, recalibrate=recalibrate)
+            layer1, layer2 = net.layer_list()
+            uses = lambda p: sum(k is p for k in kernels)
+            assert uses(net.stem) == batches
+            assert uses(layer1.conv_s) == 2 * batches  # S and S+ST at layer 1
+            assert uses(layer2.conv_s) == 3 * 2 * batches  # S and S+ST under each of 3 layer-1 prefixes
 
 
 class TestTrainTemplate:

@@ -26,3 +26,5 @@ def test_tracer_runs_the_pipeline(tmp_path):
     # The tracer names an epoch only while train_template is the innermost span;
     # base_config trains 2 warmup and 2 main epochs.
     assert (counts["train"]["lab.warmup_epoch"], counts["train"]["lab.main_epoch"]) == (2, 2)
+    # sample-eval scores every draw in one call of the training-free evaluator
+    assert counts["sample-eval"]["lab.evaluate_strategy"] == 1
