@@ -66,7 +66,14 @@ def _require(path: Path):
 def _load_dataset_splits(cfg: RunConfig, wd: Path):
     path = _require(wd / DATASET_FILE)
     with _readable(path):  # a class with fewer than two clips cannot be split
-        return D.split(D.load(path), cfg.data.train_frac, cfg.data.seed)
+        dataset = D.load(path)
+        made = dict(dataset.manifest["spec"], seed=dataset.manifest["seed"])
+        wanted = dict(cfg.data.spec.to_json(), seed=cfg.data.seed)
+        stale = [key for key in wanted if made.get(key) != wanted[key]]
+        if stale:
+            _mismatch(path, "dataset was generated with " + ", ".join(f"{k} {made.get(k)}" for k in stale)
+                      + "; config has " + ", ".join(f"{k} {wanted[k]}" for k in stale))
+        return D.split(dataset, cfg.data.train_frac, cfg.data.seed)
 
 
 def _save_weights(net, path):
@@ -97,7 +104,7 @@ def _load_gates(cfg: RunConfig, wd: Path) -> GateParams:
     with _readable(path):
         params = GateParams.load(path)
     expected = GateParams.for_config(cfg.template)
-    if (params.blocks, params.edge_counts) != (expected.blocks, expected.edge_counts):
+    if params.blocks != expected.blocks:
         _mismatch(path, f"gate layout has blocks {list(params.blocks)}, edge_counts {params.edge_counts}; "
                         f"template expects blocks {list(expected.blocks)}, edge_counts {expected.edge_counts}")
     return params

@@ -91,16 +91,6 @@ class SynthSpec:
             "noise_sigma": self.noise_sigma,
         }
 
-    @classmethod
-    def from_json(cls, obj) -> "SynthSpec":
-        return cls(
-            mode=obj["mode"],
-            classes=obj["classes"],
-            clips_per_class=obj["clips_per_class"],
-            clip_shape=tuple(obj["clip_shape"]),
-            noise_sigma=obj["noise_sigma"],
-        )
-
 
 @dataclass
 class ClipDataset:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,12 @@ from .tensor import Tensor
 def _logit(p: float) -> float:
     p = min(max(p, 1e-7), 1 - 1e-7)
     return math.log(p / (1 - p))
+
+
+def edge_counts(blocks) -> list:
+    """Incoming edges of each layer under (num_blocks, layers_per_block): block input + in-block predecessors."""
+    num_blocks, per_block = blocks
+    return list(range(1, per_block + 1)) * num_blocks
 
 
 @dataclass
@@ -40,9 +45,9 @@ class GateParams:
     each edge instance still draws its own noise.
     """
 
-    def __init__(self, edge_counts, blocks, init_drop: float = 0.1, tau: float = 1.0):
-        self.edge_counts = list(edge_counts)
+    def __init__(self, blocks, init_drop: float = 0.1, tau: float = 1.0):
         self.blocks = tuple(blocks)  # (num_blocks, layers_per_block)
+        self.edge_counts = edge_counts(self.blocks)
         self.tau = float(tau)
         z = _logit(init_drop)
         self.layers = [
@@ -57,11 +62,7 @@ class GateParams:
     @classmethod
     def for_config(cls, config, init_drop: float = 0.1, tau: float = 1.0) -> "GateParams":
         """Build gate parameters matching a TemplateConfig's gate layout."""
-        edge_counts = []
-        for _ in range(config.num_blocks):
-            for j in range(1, config.layers_per_block + 1):
-                edge_counts.append(j)  # block input + j-1 in-block predecessors
-        return cls(edge_counts, (config.num_blocks, config.layers_per_block), init_drop, tau)
+        return cls((config.num_blocks, config.layers_per_block), init_drop, tau)
 
     @property
     def num_layers(self) -> int:
@@ -91,14 +92,18 @@ class GateParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GateParams":
-        params = cls(obj["edge_counts"], obj["blocks"], tau=obj["tau"])
+        params = cls(obj["blocks"], tau=obj["tau"])
+        if obj["edge_counts"] != params.edge_counts:
+            raise ContractError(f"gates JSON edge_counts {obj['edge_counts']} do not follow from its blocks "
+                                f"{list(params.blocks)}, which give {params.edge_counts}")
         records = obj["layers"]
         if len(records) != params.num_layers:
             raise ContractError(f"gates JSON lists {len(records)} layers but edge_counts has {params.num_layers}")
-        for lg, rec in zip(params.layers, records):
-            lg.edge.data = np.float64(_logit(rec["p_edge"]))
-            lg.s.data = np.float64(_logit(rec["p_S"]))
-            lg.st.data = np.float64(_logit(rec["p_ST"]))
+        for i, (lg, rec) in enumerate(zip(params.layers, records), start=1):
+            for key, logit in (("p_edge", lg.edge), ("p_S", lg.s), ("p_ST", lg.st)):
+                if not 0.0 <= rec[key] <= 1.0:  # NaN fails too
+                    raise ContractError(f"gates JSON layer {i} has {key} {rec[key]}, outside [0, 1]")
+                logit.data = np.float64(_logit(rec[key]))
         return params
 
     def save(self, path):
@@ -126,11 +131,8 @@ class GateSample:
 
     @classmethod
     def all_on(cls, config) -> "GateSample":
-        layers = []
-        for _ in range(config.num_blocks):
-            for j in range(1, config.layers_per_block + 1):
-                layers.append(LayerGates(edges=[1.0] * j, s=1.0, st=1.0))
-        return cls(layers=layers, blocks=(config.num_blocks, config.layers_per_block))
+        blocks = (config.num_blocks, config.layers_per_block)
+        return cls(layers=[LayerGates(edges=[1.0] * n, s=1.0, st=1.0) for n in edge_counts(blocks)], blocks=blocks)
 
 
 def sample_gates_hard(params: GateParams, rng: np.random.Generator) -> GateSample:
@@ -196,22 +198,13 @@ class ObjectiveBreakdown:
         }
 
 
-_GATED_ID = re.compile(r"^layer(\d+)/(S|ST)/")
-
-
-def governing_site(identifier: str):
-    """Map a parameter identifier to its (layer index, unit) gate site."""
-    m = _GATED_ID.match(identifier)
-    if m is None:
-        raise ConfigurationError(f"parameter {identifier!r} maps to no gate site")
-    return int(m.group(1)), m.group(2)
-
-
 def objective(nll: Tensor, params: GateParams, weights, cfg: ObjectiveConfig) -> ObjectiveBreakdown:
     """Total training objective: nll + (1/N)*sum p log p + sum k^2(1-p)/(2N)*||w||^2.
 
-    `weights` are the gated branch kernels; each must map to a gate site via
-    its identifier. The returned breakdown carries the differentiable total.
+    `weights` are (layer index, "S" | "ST", kernel) triples, as
+    `TemplateNetwork.gated_parameters` lists them: each kernel's weight term
+    uses the drop probability of the gate site it names. The terms are summed
+    in the order given. The returned breakdown carries the differentiable total.
     """
     n = cfg.n_train
     # entropy-like term: every site instance contributes p log p
@@ -228,12 +221,9 @@ def objective(nll: Tensor, params: GateParams, weights, cfg: ObjectiveConfig) ->
     # weight term: k^2 (1-p) / (2N) * ||w||^2 per governed kernel
     wt = None
     coef = cfg.k * cfg.k / (2.0 * n)
-    for w in weights:
-        layer_idx, unit = governing_site(w.identifier)
-        if not 1 <= layer_idx <= params.num_layers:
-            raise ConfigurationError(f"parameter {w.identifier!r} names layer {layer_idx} outside the gate layout")
+    for layer_idx, site, w in weights:
         lg = params.layers[layer_idx - 1]
-        logit = lg.s if unit == "S" else lg.st
+        logit = lg.s if site == "S" else lg.st
         keep = T.add_const(T.neg(T.sigmoid(logit)), 1.0)  # 1 - p
         term = T.scale(T.mul(keep, T.sumsq(w)), coef)
         wt = term if wt is None else T.add(wt, term)

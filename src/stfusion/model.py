@@ -36,6 +36,15 @@ _UNIT_NAMES = {FusionUnitKind.S: "S", FusionUnitKind.ST: "ST", FusionUnitKind.S_
 _UNIT_FROM_NAME = {v: k for k, v in _UNIT_NAMES.items()}
 _UNIT_FROM_NAME["skip"] = None
 
+# The branch gate sites each unit keeps, (keep_S, keep_ST); skip keeps neither.
+_UNIT_SITES = {
+    None: (False, False),
+    FusionUnitKind.S: (True, False),
+    FusionUnitKind.ST: (False, True),
+    FusionUnitKind.S_PLUS_ST: (True, True),
+}
+_UNIT_OF_SITES = {sites: u for u, sites in _UNIT_SITES.items()}
+
 
 def unit_name(u) -> str:
     return "skip" if u is None else _UNIT_NAMES[u]
@@ -144,6 +153,8 @@ class TemplateConfig:
         kt, kh, kw = self.kernel_sizes
         if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
             raise ConfigurationError(f"kernel sizes must be odd, got {self.kernel_sizes}")
+        if kh != kw:
+            raise ConfigurationError(f"spatial kernels must be square (kh == kw), got {self.kernel_sizes}")
         divisor = 2 ** (self.num_blocks - 1)
         _, _, h, w = self.clip_shape
         if h % divisor != 0 or w % divisor != 0 or h < divisor or w < divisor:
@@ -196,15 +207,13 @@ class DenseLayer:
 
     def branch_parameters(self, unit):
         """Parameters of the branches a fusion unit keeps (none when skipped)."""
+        keep_s, keep_st = _UNIT_SITES[unit]
         s = [self.bn_s.gamma, self.bn_s.beta, self.conv_s]
         st = [
             self.bn_st1.gamma, self.bn_st1.beta, self.conv_st2d,
             self.bn_st2.gamma, self.bn_st2.beta, self.conv_st1d,
         ]
-        return {None: [], FusionUnitKind.S: s, FusionUnitKind.ST: st, FusionUnitKind.S_PLUS_ST: s + st}[unit]
-
-    def parameters(self):
-        return self.branch_parameters(FusionUnitKind.S_PLUS_ST)
+        return (s if keep_s else []) + (st if keep_st else [])
 
     def batch_norms(self):
         return [self.bn_s, self.bn_st1, self.bn_st2]
@@ -274,11 +283,13 @@ class TemplateNetwork:
 
     # -- parameter bookkeeping ---------------------------------------------
 
-    def parameters(self):
+    def parameters(self, units=None):
+        """Parameters of a network keeping each layer's branches for `units` (every branch by default)."""
+        if units is None:
+            units = [FusionUnitKind.S_PLUS_ST] * self.config.total_layers
         params = [self.stem]
-        for block in self.blocks:
-            for layer in block:
-                params.extend(layer.parameters())
+        for layer, unit in zip(self.layer_list(), units):
+            params.extend(layer.branch_parameters(unit))
         for tr in self.transitions:
             params.extend(tr.parameters())
         params.extend([self.final_bn.gamma, self.final_bn.beta, self.head])
@@ -287,12 +298,14 @@ class TemplateNetwork:
         return params
 
     def gated_parameters(self):
-        """Branch conv kernels governed by gate sites (excludes BN affine)."""
-        out = []
-        for block in self.blocks:
-            for layer in block:
-                out.extend([layer.conv_s, layer.conv_st2d, layer.conv_st1d])
-        return out
+        """(layer index, "S" | "ST", kernel) per branch conv kernel and the gate site governing it:
+        each layer's conv_s under "S", then its conv_st2d and conv_st1d under "ST"."""
+        return [
+            (layer.global_index, site, p)
+            for layer in self.layer_list()
+            for site, unit in (("S", FusionUnitKind.S), ("ST", FusionUnitKind.ST))
+            for p in layer.branch_parameters(unit) if p.data.ndim > 1
+        ]
 
     def batch_norms(self):
         bns = []
@@ -403,15 +416,8 @@ def gates_from_strategy(strategy: FusionStrategy, blocks) -> GateSample:
         edges = [1.0 if layer.v[0] else 0.0]
         for pred in range(first_in_block, layer.l):
             edges.append(1.0 if layer.v[pred] else 0.0)
-        if layer.u is None:
-            s, st = 0.0, 0.0
-        elif layer.u == FusionUnitKind.S:
-            s, st = 1.0, 0.0
-        elif layer.u == FusionUnitKind.ST:
-            s, st = 0.0, 1.0
-        else:
-            s, st = 1.0, 1.0
-        layers.append(LayerGates(edges=edges, s=s, st=st))
+        keep_s, keep_st = _UNIT_SITES[layer.u]
+        layers.append(LayerGates(edges=edges, s=float(keep_s), st=float(keep_st)))
     return GateSample(layers=layers, blocks=tuple(blocks))
 
 
@@ -424,17 +430,7 @@ def recover_strategy(gates: GateSample) -> FusionStrategy:
         v[0] = float(lg.edges[0]) == 1.0
         for e, pred in enumerate(range(first_in_block, i), start=1):
             v[pred] = float(lg.edges[e]) == 1.0
-        s_on = float(lg.s) == 1.0
-        st_on = float(lg.st) == 1.0
-        if s_on and st_on:
-            u = FusionUnitKind.S_PLUS_ST
-        elif s_on:
-            u = FusionUnitKind.S
-        elif st_on:
-            u = FusionUnitKind.ST
-        else:
-            u = None
-        layers.append(StrategyLayer(l=i, v=tuple(v), u=u))
+        layers.append(StrategyLayer(l=i, v=tuple(v), u=_UNIT_OF_SITES[float(lg.s) == 1.0, float(lg.st) == 1.0]))
     return FusionStrategy(layers=tuple(layers))
 
 
@@ -454,13 +450,7 @@ class Subnetwork:
         return self.net.forward(batch, self.gates, training)
 
     def active_parameters(self):
-        params = [self.net.stem]
-        for layer, srec in zip(self.net.layer_list(), self.strategy.layers):
-            params.extend(layer.branch_parameters(srec.u))
-        for tr in self.net.transitions:
-            params.extend(tr.parameters())
-        params.extend([self.net.final_bn.gamma, self.net.final_bn.beta, self.net.head])
-        return params
+        return self.net.parameters([layer.u for layer in self.strategy.layers])
 
     def active_param_count(self) -> int:
         return sum(p.data.size for p in self.active_parameters())

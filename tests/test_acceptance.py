@@ -131,15 +131,14 @@ def test_criterion_1_gradient_suite():
         check(float(np.abs(z.grad - fd) / max(np.abs(fd), 1e-8)))
 
         # full objective (nll + entropy + weight terms)
-        params = GateParams(edge_counts=[1, 2], blocks=(1, 2),
-                            init_drop=float(rng.uniform(0.1, 0.6)))
+        params = GateParams(blocks=(1, 2), init_drop=float(rng.uniform(0.1, 0.6)))
         w1 = T.Parameter(rng.normal(size=4), "layer1/S/conv2d")
         w2 = T.Parameter(rng.normal(size=3), "layer2/ST/conv1d")
         cfg = ObjectiveConfig(k=float(rng.uniform(0.5, 2.0)), n_train=5)
         nll_in = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
         def make_obj():
-            return objective(T.sumsq(nll_in), params, [w1, w2], cfg).total_tensor
+            return objective(T.sumsq(nll_in), params, [(1, "S", w1), (2, "ST", w2)], cfg).total_tensor
 
         check(max_rel_error(make_obj, params.trainable_tensors() + [w1, w2, nll_in], h=1e-6))
 
@@ -153,18 +152,18 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_objective_boundaries():
     ok = True
     # p = 1: both regularizers vanish
-    params = GateParams(edge_counts=[1], blocks=(1, 1))
+    params = GateParams(blocks=(1, 1))
     for lg in params.layers:
         lg.edge.data = np.float64(60.0)
         lg.s.data = np.float64(60.0)
         lg.st.data = np.float64(60.0)
     w = T.Parameter(np.array([1.0, 1.0]), "layer1/S/conv2d")
-    bd = objective(T.Tensor(np.float64(0.4)), params, [w], ObjectiveConfig(k=1.0, n_train=1))
+    bd = objective(T.Tensor(np.float64(0.4)), params, [(1, "S", w)], ObjectiveConfig(k=1.0, n_train=1))
     ok &= abs(bd.entropy_term) < 1e-9 and abs(bd.weight_term) < 1e-9
 
     # p = 0.5, k = 1, N = 1, ||w||^2 = 2: per-site entropy -0.34657, weight 0.5
-    half = GateParams(edge_counts=[1], blocks=(1, 1), init_drop=0.5)
-    bd2 = objective(T.Tensor(np.float64(0.0)), half, [w], ObjectiveConfig(k=1.0, n_train=1))
+    half = GateParams(blocks=(1, 1), init_drop=0.5)
+    bd2 = objective(T.Tensor(np.float64(0.0)), half, [(1, "S", w)], ObjectiveConfig(k=1.0, n_train=1))
     per_site = bd2.entropy_term / 3  # edge, S, ST sites share p = 0.5
     ok &= abs(per_site - (-0.34657)) < 1e-5 and abs(per_site - 0.5 * math.log(0.5)) < 1e-9
     ok &= abs(bd2.weight_term - 0.5) < 1e-9

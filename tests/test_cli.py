@@ -134,7 +134,8 @@ class TestGenerate:
         ("schedule", "batch_size", 0, "batch_size must be >= 1, got 0"),
         ("data", "clips_per_class", 1, "clips_per_class must be >= 2, got 1"),
         ("schedule", "warmup_epochs", -1, "epoch counts must be >= 0"),
-    ], ids=["batch-size-0", "one-clip-per-class", "negative-epochs"])
+        ("template", "kernel_sizes", [3, 3, 5], "spatial kernels must be square (kh == kw), got (3, 3, 5)"),
+    ], ids=["batch-size-0", "one-clip-per-class", "negative-epochs", "non-square-kernel"])
     def test_impossible_config_exit_2(self, runner, tmp_path, section, key, value, message):
         cfg = base_config()
         cfg[section][key] = value
@@ -245,6 +246,22 @@ class TestSampleEvalAndReport:
         L.write_evaluations_csv([evaluate_one(net, s, val) for s in draws], tmp_path / "reference.csv")
         assert (wd / cli.EVALS_FILE).read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
+    def test_recalibrated_sample_eval_matches_per_draw_reference(self, runner, tmp_path):
+        cfg_path = write_config(tmp_path, base_config(sampling={"count": 30, "seed": 1, "recalibrate_bn": True}))
+        wd = tmp_path / "run"
+        for stage in ("generate", "train", "sample-eval"):
+            invoke(runner, [stage, "--config", cfg_path, "--workdir", str(wd)])
+        cfg = load_run_config(cfg_path)
+        train, val = D.split(D.load(wd / cli.DATASET_FILE), cfg.data.train_frac, cfg.data.seed)
+        net = TemplateNetwork(cfg.template, seed=cfg.schedule.seed)
+        cli._load_weights(net, wd / cli.WEIGHTS_FILE)
+        draws = L.sample_strategies(GateParams.load(wd / cli.GATES_FILE), cfg.sampling.count,
+                                    np.random.default_rng(cfg.sampling.seed))
+        assert len(set(draws)) < len(draws)
+        L.write_evaluations_csv([evaluate_one(net, s, val, recalibrate=train) for s in draws],
+                                tmp_path / "reference.csv")
+        assert (wd / cli.EVALS_FILE).read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_best_strategy_of_another_template_exit_6(self, runner, trained):
         cfg_path, wd = trained
         invoke(runner, ["sample-eval", "--config", cfg_path, "--workdir", str(wd)])
@@ -264,7 +281,16 @@ class TestSampleEvalAndReport:
          "strategy layer 2 has unknown unit 'T'"),
         (cli.GATES_FILE, lambda obj: obj.update(layers=obj["layers"][:1]),
          "gates JSON lists 1 layers but edge_counts has 2"),
-    ], ids=["unknown-unit", "gates-missing-a-layer"])
+        (cli.GATES_FILE, lambda obj: obj.update(edge_counts=[1, 1]),
+         "gates JSON edge_counts [1, 1] do not follow from its blocks [1, 2], which give [1, 2]"),
+        (cli.GATES_FILE, lambda obj: obj["layers"][0].update(p_S=2.0),
+         "gates JSON layer 1 has p_S 2.0, outside [0, 1]"),
+        (cli.GATES_FILE, lambda obj: obj["layers"][1].update(p_edge=-3.0),
+         "gates JSON layer 2 has p_edge -3.0, outside [0, 1]"),
+        (cli.GATES_FILE, lambda obj: obj["layers"][1].update(p_ST=float("nan")),
+         "gates JSON layer 2 has p_ST nan, outside [0, 1]"),
+    ], ids=["unknown-unit", "gates-missing-a-layer", "edge-counts-not-from-blocks", "p-S-above-one",
+            "p-edge-below-zero", "p-ST-nan"])
     def test_malformed_artifact_exit_6(self, runner, trained, artifact, corrupt, message):
         cfg_path, wd = trained
         invoke(runner, ["sample-eval", "--config", cfg_path, "--workdir", str(wd)])
@@ -311,12 +337,34 @@ class TestSampleEvalAndReport:
     def test_gates_of_another_template_exit_6(self, runner, trained, stage):
         cfg_path, wd = trained
         invoke(runner, ["sample-eval", "--config", cfg_path, "--workdir", str(wd)])
-        GateParams(edge_counts=[1], blocks=(1, 1)).save(wd / cli.GATES_FILE)
+        GateParams(blocks=(1, 1)).save(wd / cli.GATES_FILE)
         result = runner.invoke(cli.main, [stage, "--config", cfg_path, "--workdir", str(wd)])
         assert result.exit_code == cli.EXIT_MISMATCH
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("artifact does not match config: "), result.output
         assert "edge_counts [1]; template expects blocks [1, 2], edge_counts [1, 2]" in lines[0]
+
+    @pytest.mark.parametrize("data, clip_shape, message", [
+        ({"noise_sigma": 0.5, "clips_per_class": 6}, None,
+         "generated with clips_per_class 8, noise_sigma 0.0; config has clips_per_class 6, noise_sigma 0.5"),
+        ({"clip_shape": [1, 8, 8, 8]}, [1, 8, 8, 8],
+         "generated with clip_shape [1, 4, 8, 8]; config has clip_shape [1, 8, 8, 8]"),
+        ({"seed": 2}, None, "generated with seed 1; config has seed 2"),
+    ], ids=["noise-and-size", "clip-shape", "seed"])
+    def test_stale_dataset_exit_6(self, runner, trained, tmp_path, data, clip_shape, message):
+        _, wd = trained
+        cfg = base_config()
+        cfg["data"].update(data)
+        if clip_shape is not None:
+            cfg["template"]["clip_shape"] = clip_shape
+        changed = write_config(tmp_path, cfg, name="changed.json")
+        result = runner.invoke(cli.main, ["sample-eval", "--config", changed, "--workdir", str(wd)])
+        assert result.exit_code == cli.EXIT_MISMATCH
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"artifact does not match config: {wd / cli.DATASET_FILE}: "), \
+            result.output
+        assert message in lines[0]
+        assert not (wd / cli.EVALS_FILE).exists()
 
     def test_report_missing_best_exit_4(self, runner, trained):
         cfg_path, wd = trained

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stfusion import tensor as T
-from stfusion.errors import ConfigurationError, ContractError, DomainError
+from stfusion.errors import ContractError, DomainError
 from stfusion.gates import (
     GateParams,
     ObjectiveConfig,
@@ -134,11 +134,11 @@ class TestObjective:
 
     def test_p_half_single_gate_arithmetic(self):
         # one layer, one weight with ||w||^2 = 2, k = 1, N = 1
-        params = GateParams(edge_counts=[1], blocks=(1, 1))
+        params = GateParams(blocks=(1, 1))
         set_all_drop(params, 0.5)
         w = T.Parameter(np.array([1.0, 1.0]), "layer1/S/conv2d")
         cfg = ObjectiveConfig(k=1.0, n_train=1)
-        bd = objective(self._nll(0.0), params, [w], cfg)
+        bd = objective(self._nll(0.0), params, [(1, "S", w)], cfg)
         # weight term: 1^2 * (1-0.5) / 2 * 2 = 0.5
         assert abs(bd.weight_term - 0.5) < 1e-9
         # entropy over 3 sites (edge, S, ST), each 0.5*ln 0.5
@@ -153,7 +153,7 @@ class TestObjective:
         cfg = ObjectiveConfig(k=3.0, n_train=7)
         bd = objective(self._nll(), params, net.gated_parameters(), cfg)
         assert abs(bd.entropy_term) < 1e-9
-        expected = sum(9.0 / (2 * 7) * np.sum(w.data ** 2) for w in net.gated_parameters())
+        expected = sum(9.0 / (2 * 7) * np.sum(w.data ** 2) for _, _, w in net.gated_parameters())
         assert abs(bd.weight_term - expected) < 1e-9 * max(1.0, expected)
 
     def test_total_is_exact_sum(self):
@@ -162,20 +162,14 @@ class TestObjective:
         bd = objective(self._nll(0.7), params, net.gated_parameters(), ObjectiveConfig(k=1.5, n_train=12))
         assert bd.total == (bd.nll + bd.entropy_term) + bd.weight_term
 
-    def test_unmapped_parameter(self):
-        params = GateParams.for_config(CFG)
-        stray = T.Parameter(np.ones(3), "stem/conv2d")
-        with pytest.raises(ConfigurationError, match="stem/conv2d"):
-            objective(self._nll(), params, [stray], ObjectiveConfig(k=1.0, n_train=1))
-
     def test_gradient_wrt_logits_vs_finite_differences(self):
-        params = GateParams(edge_counts=[1, 2], blocks=(1, 2), init_drop=0.3)
+        params = GateParams(blocks=(1, 2), init_drop=0.3)
         w1 = T.Parameter(np.array([0.5, -1.0]), "layer1/S/conv2d")
         w2 = T.Parameter(np.array([2.0]), "layer2/ST/conv1d")
         cfg = ObjectiveConfig(k=1.3, n_train=4)
 
         def make():
-            return objective(self._nll(0.9), params, [w1, w2], cfg).total_tensor
+            return objective(self._nll(0.9), params, [(1, "S", w1), (2, "ST", w2)], cfg).total_tensor
 
         T.backward(make())
         for z in params.trainable_tensors() + [w1, w2]:

@@ -90,6 +90,16 @@ class TestBuildTemplate:
         ids = [p.identifier for p in net.parameters()]
         assert len(ids) == len(set(ids))
 
+    def test_gated_parameters_follow_gate_sites(self):
+        net = TemplateNetwork(TWO_BLOCK, seed=0)
+        blocks = net.blocks[0] + net.blocks[1]
+        # Tensors compare by identity, so this checks each kernel object, not its values.
+        assert net.gated_parameters() == [
+            (i, site, kernel)
+            for i, layer in enumerate(blocks, start=1)
+            for site, kernel in (("S", layer.conv_s), ("ST", layer.conv_st2d), ("ST", layer.conv_st1d))
+        ]
+
     def test_clip_too_small_for_pooling(self):
         with pytest.raises(ConfigurationError, match="minimum H, W"):
             TemplateConfig(num_blocks=4, layers_per_block=1, growth_channels=2,
