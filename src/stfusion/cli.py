@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -224,6 +226,22 @@ def _oracle_worker(strategy):
     return lab.train_standalone(strategy, cfg.template, train_set, val_set, cfg.schedule)
 
 
+@contextmanager
+def _pinned_pool(jobs, initializer=None, initargs=()):
+    """A pool of `jobs` spawned workers that load NumPy with BLAS on one thread; restores the environment."""
+    pinned = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    saved = {name: os.environ.get(name) for name in pinned}
+    os.environ.update(dict.fromkeys(pinned, "1"))
+    try:
+        with ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn"), initializer, initargs) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            os.environ.pop(name)
+            if value is not None:
+                os.environ[name] = value
+
+
 @main.command()
 @config_option
 @workdir_option
@@ -247,7 +265,7 @@ def oracle(config_path, workdir, seed, jobs):
     inputs = (cfg, train_set, val_set)
     try:
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_oracle_init, initargs=inputs) as pool:
+            with _pinned_pool(jobs, _oracle_init, inputs) as pool:
                 oracle_accs = list(pool.map(_oracle_worker, strategies))
         else:
             _oracle_init(*inputs)

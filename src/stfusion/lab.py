@@ -16,7 +16,7 @@ from . import gates as G
 from .errors import ConfigurationError, ContractError, TrainingDiverged
 from .gates import GateParams, GateSample, ObjectiveConfig, objective
 from .model import FusionStrategy, Subnetwork, TemplateNetwork, recover_strategy, unit_name
-from .tensor import SGD, Tensor, backward, softmax_cross_entropy
+from .tensor import SGD, Tensor, backward, no_tape, softmax_cross_entropy
 
 
 @dataclass
@@ -62,6 +62,7 @@ def _in_order(dataset: D.ClipDataset):
         yield dataset.clips[start:start + _EVAL_BATCH].astype(np.float64), dataset.labels[start:start + _EVAL_BATCH]
 
 
+@no_tape()
 def _accuracy(forward_fn, dataset: D.ClipDataset) -> float:
     correct = 0
     for clips, labels in _in_order(dataset):
@@ -145,6 +146,7 @@ def _sgd_epoch(opt: SGD, train: D.ClipDataset, schedule: TrainSchedule, epoch: i
     return records
 
 
+@no_tape()
 def _epoch_nll(net, gates, train) -> float:
     losses = []
     weights = []
@@ -169,6 +171,7 @@ def sample_strategies(params: GateParams, count: int, rng) -> list:
     return [recover_strategy(G.sample_gates_hard(params, rng)) for _ in range(count)]
 
 
+@no_tape()
 def evaluate_strategy(
     net: TemplateNetwork,
     strategies: list,

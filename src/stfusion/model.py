@@ -308,14 +308,8 @@ class TemplateNetwork:
         ]
 
     def batch_norms(self):
-        bns = []
-        for block in self.blocks:
-            for layer in block:
-                bns.extend(layer.batch_norms())
-        for tr in self.transitions:
-            bns.append(tr.bn)
-        bns.append(self.final_bn)
-        return bns
+        bns = [bn for layer in self.layer_list() for bn in layer.batch_norms()]
+        return bns + [tr.bn for tr in self.transitions] + [self.final_bn]
 
     def layer_list(self):
         return [layer for block in self.blocks for layer in block]

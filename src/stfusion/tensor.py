@@ -5,8 +5,14 @@ Everything is float64 on CPU. There is no implicit broadcasting: `add` and
 `scale` (python float) or `scale_t` (0-d tensor, differentiable in both
 arguments). Gradients are recomputed from scratch on every `backward` call;
 grads of tensors outside the current graph are left untouched.
+
+Passes that never call `backward` run under `no_tape()`, a context manager
+that also works as a decorator: there ops record no graph, so the arrays a
+backward would need are freed as soon as each op returns.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,9 +56,23 @@ class Parameter(Tensor):
         return f"Parameter({self.identifier!r}, shape={self.shape})"
 
 
+_taping = True
+
+
+@contextmanager
+def no_tape():
+    """Run the body without recording a graph; nests, and restores taping on any exit."""
+    global _taping
+    previous, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = previous
+
+
 def _result(data, parents, backward_fn):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _taping and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

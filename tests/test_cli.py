@@ -480,6 +480,34 @@ def test_divergence_prints_one_stderr_line(runner, tmp_path):
         assert len(lines) == 1 and lines[0].startswith(prefix), result.stderr
 
 
+def test_oracle_pool_workers_run_blas_on_one_thread(monkeypatch):
+    pinned = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    with cli._pinned_pool(2) as pool:
+        assert list(pool.map(os.getenv, pinned)) == ["1"] * 3
+    assert dict(os.environ) == before
+
+
+def test_pipeline_bytes_do_not_depend_on_the_process(tmp_path):
+    # Criterion 9 reruns a stage inside one process; here each stage runs in a
+    # fresh interpreter, under two string-hash seeds.
+    cfg = base_config()
+    cfg["template"]["num_blocks"] = 2  # a Transition between the blocks
+    cfg_path = write_config(tmp_path, cfg)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        wd = tmp_path / f"run{hash_seed}"
+        for stage in ("generate", "train", "sample-eval", "report"):
+            subprocess.run([sys.executable, "-m", "stfusion.cli", stage, "--config", cfg_path, "--workdir", str(wd)],
+                           env=dict(source_env(), PYTHONHASHSEED=hash_seed), capture_output=True, check=True)
+        outputs.append({name: (wd / name).read_bytes() for name in (
+            cli.HISTORY_FILE, cli.GATES_FILE, cli.EVALS_FILE, cli.BEST_FILE, cli.PREFERENCE_FILE)})
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_import_loads_no_scipy():
     probe = "import sys, stfusion.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True, check=True)

@@ -384,6 +384,73 @@ class TestTrainingGraphLifetime:
         assert live_at_eval == [0] * passes
 
 
+class TestTapeFreePasses:
+    """Passes that never call `backward` record no graph; training batches still do."""
+
+    @pytest.fixture
+    def results(self, monkeypatch):
+        """(innermost pass or epoch loop, carries a graph, has a parent that requires grad) per op result."""
+        seen, active = [], []
+        result = T._result
+
+        def recorded(data, parents, backward_fn):
+            out = result(data, parents, backward_fn)
+            taped = out._backward is not None or bool(out._parents)
+            seen.append((active[-1] if active else None, taped, any(p.requires_grad for p in parents)))
+            return out
+
+        def marked(name, fn):
+            def wrapper(*args, **kwargs):
+                active.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
+            return wrapper
+
+        monkeypatch.setattr(T, "_result", recorded)
+        for name in ("_accuracy", "_epoch_nll", "evaluate_strategy", "_sgd_epoch"):
+            monkeypatch.setattr(L, name, marked(name, getattr(L, name)))
+        return seen
+
+    def _assert_untaped(self, results, passes):
+        for name in passes:
+            inside = [taped for where, taped, _ in results if where == name]
+            assert inside and not any(inside), name
+
+    def _assert_training_taped(self, results):
+        training = [taped for where, taped, grad_parent in results if where == "_sgd_epoch" and grad_parent]
+        assert training and all(training)
+
+    def test_train_template(self, tiny_splits, results):
+        train, val = tiny_splits
+        sched = L.TrainSchedule(warmup_epochs=1, main_epochs=1, batch_size=4, seed=2)
+        L.train_template(TemplateNetwork(CFG2, seed=2), GateParams.for_config(CFG2), train, val, sched,
+                         ObjectiveConfig(k=1.0, n_train=len(train)))
+        self._assert_untaped(results, ("_accuracy", "_epoch_nll"))
+        self._assert_training_taped(results)
+
+    def test_train_standalone(self, tiny_splits, results):
+        train, val = tiny_splits
+        sched = L.TrainSchedule(warmup_epochs=0, main_epochs=2, batch_size=4, seed=2)
+        L.train_standalone(strategy_from_literature("top_heavy", CFG2.total_layers), CFG2, train, val, sched)
+        self._assert_untaped(results, ("_accuracy",))
+        self._assert_training_taped(results)
+
+    def test_evaluate_strategy(self, tiny_splits, results):
+        train, val = tiny_splits
+        net = _warmed_up(CFG2, train, val)
+        assert len(net.transitions) == 1
+        draws = L.sample_strategies(GateParams.for_config(CFG2, init_drop=0.3), 8, np.random.default_rng(4))
+        counts = []
+        for recalibrate in (None, train):
+            results.clear()
+            L.evaluate_strategy(net, draws, val, recalibrate=recalibrate)
+            self._assert_untaped(results, ("evaluate_strategy",))
+            counts.append(len(results))
+        assert counts[1] > counts[0]  # the recalibration walk ran, untaped too
+
+
 class TestReports:
     def test_layer_preference_rows(self):
         params = GateParams.for_config(CFG, init_drop=0.25)

@@ -273,6 +273,43 @@ class TestBackward:
         assert np.allclose(w.grad, 2.0)
 
 
+class TestNoTape:
+    def _op(self, rng):
+        w = T.Parameter(rng.normal(size=3), "w")
+        return T.relu(T.mul(w, T.Tensor(rng.normal(size=3))))
+
+    def _taped(self, out):
+        return out.requires_grad, bool(out._parents), out._backward is not None
+
+    def test_records_no_graph_inside(self, rng):
+        with T.no_tape():
+            assert self._taped(self._op(rng)) == (False, False, False)
+        assert self._taped(self._op(rng)) == (True, True, True)
+
+    def test_forward_values_unchanged(self):
+        with T.no_tape():
+            untaped = self._op(np.random.default_rng(0)).data
+        assert untaped.tobytes() == self._op(np.random.default_rng(0)).data.tobytes()
+
+    def test_nests(self, rng):
+        with T.no_tape():
+            with T.no_tape():
+                pass
+            assert not self._taped(self._op(rng))[2]
+        assert self._taped(self._op(rng))[2]
+
+    def test_restores_taping_after_an_exception(self, rng):
+        with pytest.raises(ShapeError):
+            with T.no_tape():
+                T.add(T.Tensor(np.zeros(2)), T.Tensor(np.zeros(3)))
+        assert self._taped(self._op(rng))[2]
+
+    def test_as_a_decorator(self, rng):
+        untaped = T.no_tape()(self._op)
+        assert [self._taped(untaped(rng))[2] for _ in range(2)] == [False, False]
+        assert self._taped(self._op(rng))[2]
+
+
 class TestFiniteDifferences:
     """Per-op gradient checks against central differences."""
 
