@@ -8,7 +8,6 @@ Exit codes: 0 ok, 2 config error, 3 training divergence, 4 missing artifact,
 """
 from __future__ import annotations
 
-import csv
 import json
 import multiprocessing
 import os
@@ -208,9 +207,9 @@ def report(config_path, workdir, seed):
     """Write the per-layer fusion preference report."""
     cfg, wd = _load_config(config_path, workdir, seed)
     params = _load_gates(cfg, wd)
-    rep = lab.layer_preference_report(params, _load_best_strategy(cfg, wd))
-    rep.write_csv(wd / PREFERENCE_FILE)
-    click.echo(f"wrote {wd / PREFERENCE_FILE} ({len(rep.rows)} layers)")
+    rows = lab.layer_preference_report(params, _load_best_strategy(cfg, wd))
+    lab.write_csv(wd / PREFERENCE_FILE, lab.PREFERENCE_HEADER, rows)
+    click.echo(f"wrote {wd / PREFERENCE_FILE} ({len(rows)} layers)")
 
 
 _oracle_inputs = None  # (cfg, train_set, val_set), set once per process by _oracle_init
@@ -274,11 +273,10 @@ def oracle(config_path, workdir, seed, jobs):
         click.echo(f"oracle training diverged: {exc}", err=True)
         sys.exit(EXIT_DIVERGED)
 
-    with open(wd / ORACLE_FILE, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["strategy_json", "oracle_accuracy", "posterior_accuracy"])
-        for s, oa, pa in zip(strategies, oracle_accs, posterior):
-            writer.writerow([json.dumps(s.to_json(), sort_keys=True), repr(oa), repr(pa)])
+    lab.write_csv(wd / ORACLE_FILE, ["strategy_json", "oracle_accuracy", "posterior_accuracy"], [
+        {"strategy_json": lab.strategy_json(s), "oracle_accuracy": oa, "posterior_accuracy": pa}
+        for s, oa, pa in zip(strategies, oracle_accs, posterior)
+    ])
     rho = lab.rank_correlation(posterior, oracle_accs)
     with open(wd / RHO_FILE, "w") as f:
         json.dump(

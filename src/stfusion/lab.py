@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ from . import data as D
 from . import gates as G
 from .errors import ConfigurationError, ContractError, TrainingDiverged
 from .gates import GateParams, GateSample, ObjectiveConfig, objective
-from .model import FusionStrategy, Subnetwork, TemplateNetwork, recover_strategy, unit_name
+from .model import FusionStrategy, Subnetwork, TemplateNetwork, recover_strategy, strategy_from_literature, unit_name
 from .tensor import SGD, Tensor, backward, no_tape, softmax_cross_entropy
 
 
@@ -62,19 +61,10 @@ def _in_order(dataset: D.ClipDataset):
         yield dataset.clips[start:start + _EVAL_BATCH].astype(np.float64), dataset.labels[start:start + _EVAL_BATCH]
 
 
-@no_tape()
-def _accuracy(forward_fn, dataset: D.ClipDataset) -> float:
-    correct = 0
-    for clips, labels in _in_order(dataset):
-        logits = forward_fn(Tensor(clips))
-        correct += int(np.sum(np.argmax(logits.data, axis=1) == labels))
-    return correct / len(dataset)
-
-
 def template_accuracy(net: TemplateNetwork, dataset: D.ClipDataset) -> float:
-    """Ungated template accuracy in eval mode."""
-    gates = GateSample.all_on(net.config)
-    return _accuracy(lambda x: net.forward(x, gates, training=False), dataset)
+    """Template accuracy in eval mode: the all-S+ST strategy with every edge kept."""
+    full = strategy_from_literature("mixed_everywhere", net.config.total_layers)
+    return evaluate_strategy(net, [full], dataset)[0].val_accuracy
 
 
 # A diverging run overflows on its way to the non-finite loss that raises
@@ -180,86 +170,29 @@ def evaluate_strategy(
 ) -> list:
     """Training-free evaluation of every draw on held-out data, in draw order.
 
-    Each distinct strategy is scored once; they share one walk of their
-    hard-gate prefix trie per batch (see `_prefix_walk`). With `recalibrate`,
-    each trie node first re-estimates its batch-norm running statistics over
-    one train-mode pass of that dataset, as each strategy run alone would;
-    the template's stored statistics are restored afterwards.
+    Each distinct strategy is scored once; they share one `TemplateNetwork.walk`
+    of their hard-gate prefix trie per batch, and each is scored by the argmax
+    of its logits. With `recalibrate`, each trie node first re-estimates its
+    batch-norm running statistics over one train-mode pass of that dataset, as
+    each strategy run alone would; the template's stored statistics stay as
+    they were.
     """
     if len(val) == 0:
         raise ContractError("validation dataset is empty")
     subs = [Subnetwork(net, s) for s in dict.fromkeys(strategies)]
+    samples = [sub.gates for sub in subs]
     states = None if recalibrate is None else {}
-    walk = lambda clips, training: _prefix_walk(
-        net, subs, range(len(subs)), [net.stem_step(Tensor(clips))], 0, training, states, ())
-    snapshot = [bn.state() for bn in net.batch_norms()]
     correct = [0] * len(subs)
-    try:
-        if recalibrate is not None:
-            for clips, _ in _in_order(recalibrate):
-                for _ in walk(clips, True):
-                    pass
-        for clips, labels in _in_order(val):
-            for member, predicted in walk(clips, False):
-                correct[member] += int(np.sum(predicted == labels))
-    finally:
-        for bn, state in zip(net.batch_norms(), snapshot):
-            bn.load_state(state)
+    if recalibrate is not None:
+        for clips, _ in _in_order(recalibrate):
+            for _ in net.walk(Tensor(clips), samples, True, states):
+                pass
+    for clips, labels in _in_order(val):
+        for index, logits in net.walk(Tensor(clips), samples, False, states):
+            correct[index] += int(np.sum(np.argmax(logits.data, axis=1) == labels))
     scored = {sub.strategy: StrategyEvaluation(sub.strategy, c / len(val), sub.active_param_count(),
                                                sub.mult_add_proxy()) for sub, c in zip(subs, correct)}
     return [scored[s] for s in strategies]
-
-
-def _prefix_walk(net: TemplateNetwork, subs: list, members, feats: list, depth: int, training, states, path):
-    """Yield (member, predicted labels) for each member whose gates agree on layers before `depth`.
-
-    `feats` holds the current block's features so far, and `path` the gate
-    keys of the layers before `depth`. Batch norm uses the batch's statistics
-    in train mode and the node's in eval mode, so layer `depth` sees the same
-    input for every member: each distinct gate of that layer runs once, and
-    its subtree is walked before the next sibling is computed, so only the
-    current path is held. A block end runs once per prefix that reaches it.
-    """
-    per_block = net.config.layers_per_block
-    if depth and depth % per_block == 0:
-        b = depth // per_block - 1
-        if depth == net.config.total_layers:
-            with _node_statistics([net.final_bn], path, states):
-                logits = net.head_step(net.block_end_step(b, feats, training), training)
-            predicted = np.argmax(logits.data, axis=1)
-            for member in members:
-                yield member, predicted
-            return
-        with _node_statistics([net.transitions[b].bn], path, states):
-            feats = [net.block_end_step(b, feats, training)]
-    children = {}
-    for member in members:
-        lg = subs[member].gates.layers[depth]
-        children.setdefault((tuple(lg.edges), lg.s, lg.st), []).append(member)
-    layer = net.layer_list()[depth]
-    for key, group in children.items():
-        node = path + (key,)
-        with _node_statistics(layer.batch_norms(), node, states):
-            feats.append(net.layer_step(layer, feats, subs[group[0]].gates.layers[depth], training))
-        yield from _prefix_walk(net, subs, group, feats, depth + 1, training, states, node)
-        feats.pop()
-
-
-@contextmanager
-def _node_statistics(bns: list, node: tuple, states):
-    """Run the body with trie node `node`'s running statistics from `states` in `bns`, then store them back.
-
-    A node starts unseeded, so its first train-mode batch seeds it, as in
-    `BatchNorm`. Without `states` the template's own statistics are used.
-    """
-    if states is None:
-        yield
-        return
-    for bn in bns:
-        bn.load_state(states.get((bn.prefix, node), dict(bn.state(), initialized=False)))
-    yield
-    for bn in bns:
-        states[bn.prefix, node] = bn.state()
 
 
 def _rank_key(ev: StrategyEvaluation) -> tuple:
@@ -296,7 +229,7 @@ def train_standalone(
     best = 0.0
     for epoch in range(schedule.warmup_epochs + schedule.main_epochs):
         _sgd_epoch(opt, train, schedule, epoch, loss_of)
-        best = max(best, _accuracy(lambda x: sub.forward(x, training=False), val))
+        best = max(best, evaluate_strategy(sub.net, [strategy], val)[0].val_accuracy)
     return best
 
 
@@ -330,73 +263,43 @@ def rank_correlation(a, b) -> float:
 # layer preference report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LayerPreference:
-    layer: int
-    p_edge: float
-    p_S: float
-    p_ST: float
-    eq7_S: float
-    eq7_ST: float
-    freq_S: float
-    freq_ST: float
-    freq_SST: float
-    freq_skip: float
-    chosen_unit: str
+PREFERENCE_HEADER = [
+    "layer", "p_edge", "p_S", "p_ST", "eq7_S", "eq7_ST",
+    "freq_S", "freq_ST", "freq_SST", "freq_skip", "chosen_unit",
+]
 
 
-@dataclass
-class PreferenceReport:
-    rows: list
-
-    CSV_HEADER = [
-        "layer", "p_edge", "p_S", "p_ST", "eq7_S", "eq7_ST",
-        "freq_S", "freq_ST", "freq_SST", "freq_skip", "chosen_unit",
-    ]
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(self.CSV_HEADER)
-            for r in self.rows:
-                writer.writerow([
-                    r.layer, repr(r.p_edge), repr(r.p_S), repr(r.p_ST),
-                    repr(r.eq7_S), repr(r.eq7_ST),
-                    repr(r.freq_S), repr(r.freq_ST), repr(r.freq_SST), repr(r.freq_skip),
-                    r.chosen_unit,
-                ])
-
-
-def layer_preference_report(params: GateParams, best: FusionStrategy) -> PreferenceReport:
+def layer_preference_report(params: GateParams, best: FusionStrategy) -> list:
+    """One row per layer, keyed by `PREFERENCE_HEADER`."""
     rows = []
     for i, ((p_edge, p_s, p_st), layer) in enumerate(zip(params.drop_probs(), best.layers), start=1):
         comp = G.unit_composition(p_s, p_st)
-        rows.append(LayerPreference(
-            layer=i,
-            p_edge=p_edge,
-            p_S=p_s,
-            p_ST=p_st,
-            eq7_S=G.marginal_eq7(p_s),
-            eq7_ST=G.marginal_eq7(p_st),
-            freq_S=comp["S"],
-            freq_ST=comp["ST"],
-            freq_SST=comp["S+ST"],
-            freq_skip=comp["skip"],
-            chosen_unit=unit_name(layer.u),
-        ))
-    return PreferenceReport(rows=rows)
+        rows.append({
+            "layer": i, "p_edge": p_edge, "p_S": p_s, "p_ST": p_st,
+            "eq7_S": G.marginal_eq7(p_s), "eq7_ST": G.marginal_eq7(p_st),
+            "freq_S": comp["S"], "freq_ST": comp["ST"], "freq_SST": comp["S+ST"], "freq_skip": comp["skip"],
+            "chosen_unit": unit_name(layer.u),
+        })
+    return rows
+
+
+def write_csv(path, header, rows):
+    """Rows (dicts keyed by `header`) under a header line; the csv module writes floats as their repr."""
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, header)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def strategy_json(strategy: FusionStrategy) -> str:
+    """A strategy as one CSV cell."""
+    return json.dumps(strategy.to_json(), sort_keys=True)
 
 
 def write_evaluations_csv(evals: list, path):
     """Evaluations sorted best first by `_rank_key`."""
-    ordered = sorted(evals, key=_rank_key)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["strategy_json", "val_accuracy", "active_params", "mult_adds"])
-        for ev in ordered:
-            writer.writerow([
-                json.dumps(ev.strategy.to_json(), sort_keys=True),
-                repr(ev.val_accuracy),
-                ev.active_param_count,
-                ev.mult_add_proxy,
-            ])
+    write_csv(path, ["strategy_json", "val_accuracy", "active_params", "mult_adds"], [
+        {"strategy_json": strategy_json(ev.strategy), "val_accuracy": ev.val_accuracy,
+         "active_params": ev.active_param_count, "mult_adds": ev.mult_add_proxy}
+        for ev in sorted(evals, key=_rank_key)
+    ])

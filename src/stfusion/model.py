@@ -10,11 +10,17 @@ Input-vector convention: v has length l. Slot 0 selects the layer's block
 input (the stem for the first block, the preceding transition otherwise);
 slot i >= 1 selects global layer i when that layer lies in the same block,
 and is ignored (False in recovered strategies) across block boundaries.
+
+The strategy space is what the hard gates can say: every (v, u) per layer,
+including an active layer whose inputs are all dropped. Such a layer is not a
+skip, because its zero input still passes batch norm's shift into the convs,
+so it is scored, and can be trained, like any other strategy.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -61,6 +67,9 @@ class StrategyLayer:
 class FusionStrategy:
     layers: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))  # hashable whatever sequence arrives
+
     @property
     def num_layers(self) -> int:
         return len(self.layers)
@@ -71,8 +80,6 @@ class FusionStrategy:
                 raise ContractError(f"strategy layer {i} carries index {layer.l}")
             if len(layer.v) != i:
                 raise ContractError(f"layer {i} input vector has length {len(layer.v)}, expected {i}")
-            if layer.u is not None and not any(layer.v):
-                raise ContractError(f"layer {i} is active but selects no inputs")
         return self
 
     def to_json(self) -> dict:
@@ -339,32 +346,64 @@ class TemplateNetwork:
             bn.load_state({key: state[f"{bn.prefix}/{key}"] for key in bn.state()})
 
     # -- forward ------------------------------------------------------------
-    # The steps of `forward` are public so that a caller evaluating several
-    # gate samples can run the steps they share once (lab.evaluate_strategy).
 
     def forward(self, batch: Tensor, gates: GateSample, training: bool) -> Tensor:
-        h = self.stem_step(batch)
-        if len(gates.layers) != self.config.total_layers:
-            raise ContractError(
-                f"gate sample covers {len(gates.layers)} layers, network has {self.config.total_layers}"
-            )
-        idx = 0
-        for b, block in enumerate(self.blocks):
-            feats = [h]
-            for layer in block:
-                feats.append(self.layer_step(layer, feats, gates.layers[idx], training))
-                idx += 1
-            h = self.block_end_step(b, feats, training)
-        return self.head_step(h, training)
+        [(_, logits)] = self.walk(batch, [gates], training)
+        return logits
 
-    def stem_step(self, batch: Tensor) -> Tensor:
+    def walk(self, batch: Tensor, samples: list, training: bool, states=None):
+        """Yield (index, logits) for each gate sample in `samples`, sharing the steps their prefixes share.
+
+        The samples form a trie over their per-layer gates. Batch norm uses the
+        batch's statistics in train mode and the fixed ones in eval mode, so
+        a layer's input depends only on the gates before it: each distinct gate
+        of a layer runs once under its prefix, and its subtree is walked before
+        the next sibling is computed, so only the current path is held. A block
+        end runs once per prefix that reaches it. With `states` (a dict, filled
+        across calls), each trie node keeps its own batch-norm running
+        statistics in it, and the template's own are left as they were; see
+        `_node_statistics`.
+        """
         clip_shape = tuple(self.config.clip_shape)
         if batch.shape[1:] != clip_shape:
             raise ShapeError(
                 f"batch clip shape {tuple(batch.shape[1:])} does not match config clip shape {clip_shape}"
             )
+        for gates in samples:
+            if len(gates.layers) != self.config.total_layers:
+                raise ContractError(
+                    f"gate sample covers {len(gates.layers)} layers, network has {self.config.total_layers}"
+                )
+        per_block = self.config.layers_per_block
+        layers = self.layer_list()
+
+        def subtree(members, feats, depth, path):
+            # `feats` holds the current block's features so far, `path` the gate keys before `depth`
+            if depth and depth % per_block == 0:
+                b = depth // per_block - 1
+                h = T.concat_channels(feats)
+                if depth == len(layers):
+                    with _node_statistics([self.final_bn], path, states):
+                        logits = T.pool_and_classify(T.relu(self.final_bn(h, training)), self.head)
+                    for member in members:
+                        yield member, logits
+                    return
+                with _node_statistics([self.transitions[b].bn], path, states):
+                    feats = [self.transitions[b](h, training)]
+            children = {}
+            for member in members:
+                lg = samples[member].layers[depth]
+                children.setdefault((tuple(lg.edges), lg.s, lg.st), []).append(member)
+            layer = layers[depth]
+            for key, group in children.items():
+                node = path + (key,)
+                with _node_statistics(layer.batch_norms(), node, states):
+                    feats.append(self.layer_step(layer, feats, samples[group[0]].layers[depth], training))
+                yield from subtree(group, feats, depth + 1, node)
+                feats.pop()
+
         kh = self.config.kernel_sizes[1]
-        return T.conv2d_spatial(batch, self.stem, (kh - 1) // 2)
+        yield from subtree(range(len(samples)), [T.conv2d_spatial(batch, self.stem, (kh - 1) // 2)], 0, ())
 
     def layer_step(self, layer: DenseLayer, feats: list, lg: LayerGates, training: bool) -> Tensor:
         """Output of one dense layer from the features before it in its block."""
@@ -382,15 +421,28 @@ class TemplateNetwork:
         st_out = T.zeros(out_shape) if st_dropped else _apply_gate(layer.branch_st(inp, training), lg.st)
         return T.add(s_out, st_out)
 
-    def block_end_step(self, b: int, feats: list, training: bool) -> Tensor:
-        """Block b's features concatenated, then its transition if one follows."""
-        h = T.concat_channels(feats)
-        if b < len(self.transitions):
-            h = self.transitions[b](h, training)
-        return h
 
-    def head_step(self, h: Tensor, training: bool) -> Tensor:
-        return T.pool_and_classify(T.relu(self.final_bn(h, training)), self.head)
+@contextmanager
+def _node_statistics(bns: list, node: tuple, states):
+    """Run the body with trie node `node`'s running statistics from `states` in `bns`, then store them back.
+
+    A node starts unseeded, so its first train-mode batch seeds it, as in
+    `BatchNorm`. The template's own statistics are back in `bns` afterwards;
+    without `states` they are the ones used.
+    """
+    if states is None:
+        yield
+        return
+    own = [bn.state() for bn in bns]
+    for bn in bns:
+        bn.load_state(states.get((bn.prefix, node), dict(bn.state(), initialized=False)))
+    try:
+        yield
+        for bn in bns:
+            states[bn.prefix, node] = bn.state()
+    finally:
+        for bn, state in zip(bns, own):
+            bn.load_state(state)
 
 
 # ---------------------------------------------------------------------------

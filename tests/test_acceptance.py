@@ -183,10 +183,10 @@ def test_criterion_3_marginal_arithmetic(tmp_path):
     params.save(path)
     loaded = GateParams.load(path)
     best = _all_unit(FusionUnitKind.S_PLUS_ST, EXP_TEMPLATE.total_layers)
-    report = L.layer_preference_report(loaded, best)
-    for row, (_, p_s, p_st) in zip(report.rows, loaded.drop_probs()):
-        ok &= abs(row.eq7_S - (1 - math.sqrt(p_s))) < 1e-12
-        ok &= abs(row.eq7_ST - (1 - math.sqrt(p_st))) < 1e-12
+    rows = L.layer_preference_report(loaded, best)
+    for row, (_, p_s, p_st) in zip(rows, loaded.drop_probs()):
+        ok &= abs(row["eq7_S"] - (1 - math.sqrt(p_s))) < 1e-12
+        ok &= abs(row["eq7_ST"] - (1 - math.sqrt(p_st))) < 1e-12
     _report(3, "marginal probability arithmetic", ok)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,6 @@ from stfusion import data as D
 from stfusion import lab as L
 from stfusion.config import load_run_config
 from stfusion.gates import GateParams
-from stfusion.lab import PreferenceReport
 from stfusion.model import TemplateNetwork
 from conftest import clip_datasets_equal, evaluate_one
 
@@ -225,7 +225,7 @@ class TestSampleEvalAndReport:
         with open(wd / cli.PREFERENCE_FILE) as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 2
-        assert list(rows[0]) == PreferenceReport.CSV_HEADER
+        assert list(rows[0]) == L.PREFERENCE_HEADER
         for r in rows:
             total = sum(float(r[k]) for k in ("freq_S", "freq_ST", "freq_SST", "freq_skip"))
             assert abs(total - 1.0) < 1e-12
@@ -370,6 +370,27 @@ class TestSampleEvalAndReport:
         cfg_path, wd = trained
         result = runner.invoke(cli.main, ["report", "--config", cfg_path, "--workdir", str(wd)])
         assert result.exit_code == cli.EXIT_MISSING
+
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks" / "bench.py"
+
+
+def test_draws_with_an_inputless_layer_pass_the_benchmark_checks(runner, tmp_path):
+    # Every draw keeps both of layer 1's branches and drops its only input edge.
+    check_outputs = runpy.run_path(str(BENCH))["check_outputs"]
+    cfg = base_config()
+    cfg_path = write_config(tmp_path, cfg)
+    wd = tmp_path / "run"
+    for stage in ("generate", "train"):
+        invoke(runner, [stage, "--config", cfg_path, "--workdir", str(wd)])
+    _edit_json(wd / cli.GATES_FILE, lambda obj: obj["layers"][0].update(p_edge=1.0, p_S=0.0, p_ST=0.0))
+    for stage, args in (("sample_eval", ["sample-eval"]), ("report", ["report"]),
+                        ("oracle_jobs1", ["oracle", "--jobs", "1"])):
+        result = invoke(runner, [*args, "--config", cfg_path, "--workdir", str(wd)])
+        assert result.exit_code == 0, result.output
+        assert check_outputs(stage, wd, cfg) == []
+    best = json.loads((wd / cli.BEST_FILE).read_text())
+    assert best["strategy"]["layers"][0] == {"l": 1, "v": [0], "u": "S+ST"}
 
 
 @pytest.mark.parametrize("stage", ["sample-eval", "oracle"])

@@ -347,8 +347,8 @@ class TestTrainStandalone:
 
 class TestTrainingGraphLifetime:
     # (warmup_epochs, main_epochs, evaluation passes that start): a warmup epoch
-    # runs _epoch_nll and template_accuracy (which calls _accuracy), a main
-    # epoch template_accuracy, a standalone epoch _accuracy.
+    # runs _epoch_nll and template_accuracy (which calls evaluate_strategy), a
+    # main epoch template_accuracy, a standalone epoch evaluate_strategy.
     RUNS = {"warmup": (2, 0, 6), "main": (0, 2, 4), "standalone": (1, 1, 2)}
 
     @pytest.mark.parametrize("phase", sorted(RUNS))
@@ -372,7 +372,7 @@ class TestTrainingGraphLifetime:
             return wrapper
 
         monkeypatch.setattr(L, "softmax_cross_entropy", recorded_xent)
-        for name in ("template_accuracy", "_epoch_nll", "_accuracy"):
+        for name in ("template_accuracy", "_epoch_nll", "evaluate_strategy"):
             monkeypatch.setattr(L, name, counted(getattr(L, name)))
         sched = L.TrainSchedule(warmup_epochs=warmup, main_epochs=main, batch_size=4, lr=0.02, seed=7)
         if phase == "standalone":
@@ -409,7 +409,7 @@ class TestTapeFreePasses:
             return wrapper
 
         monkeypatch.setattr(T, "_result", recorded)
-        for name in ("_accuracy", "_epoch_nll", "evaluate_strategy", "_sgd_epoch"):
+        for name in ("_epoch_nll", "evaluate_strategy", "_sgd_epoch"):
             monkeypatch.setattr(L, name, marked(name, getattr(L, name)))
         return seen
 
@@ -427,14 +427,14 @@ class TestTapeFreePasses:
         sched = L.TrainSchedule(warmup_epochs=1, main_epochs=1, batch_size=4, seed=2)
         L.train_template(TemplateNetwork(CFG2, seed=2), GateParams.for_config(CFG2), train, val, sched,
                          ObjectiveConfig(k=1.0, n_train=len(train)))
-        self._assert_untaped(results, ("_accuracy", "_epoch_nll"))
+        self._assert_untaped(results, ("evaluate_strategy", "_epoch_nll"))
         self._assert_training_taped(results)
 
     def test_train_standalone(self, tiny_splits, results):
         train, val = tiny_splits
         sched = L.TrainSchedule(warmup_epochs=0, main_epochs=2, batch_size=4, seed=2)
         L.train_standalone(strategy_from_literature("top_heavy", CFG2.total_layers), CFG2, train, val, sched)
-        self._assert_untaped(results, ("_accuracy",))
+        self._assert_untaped(results, ("evaluate_strategy",))
         self._assert_training_taped(results)
 
     def test_evaluate_strategy(self, tiny_splits, results):
@@ -455,21 +455,22 @@ class TestReports:
     def test_layer_preference_rows(self):
         params = GateParams.for_config(CFG, init_drop=0.25)
         best = strategy_from_literature("top_heavy", CFG.total_layers)
-        report = L.layer_preference_report(params, best)
-        assert [r.layer for r in report.rows] == [1, 2]
-        for r in report.rows:
-            assert r.freq_S + r.freq_ST + r.freq_SST + r.freq_skip == pytest.approx(1.0, abs=1e-12)
-            assert r.eq7_S == pytest.approx(1 - np.sqrt(r.p_S), abs=1e-12)
-            assert r.eq7_ST == pytest.approx(1 - np.sqrt(r.p_ST), abs=1e-12)
-        assert [r.chosen_unit for r in report.rows] == ["S", "ST"]
+        rows = L.layer_preference_report(params, best)
+        assert [r["layer"] for r in rows] == [1, 2]
+        for r in rows:
+            assert list(r) == L.PREFERENCE_HEADER
+            assert r["freq_S"] + r["freq_ST"] + r["freq_SST"] + r["freq_skip"] == pytest.approx(1.0, abs=1e-12)
+            assert r["eq7_S"] == pytest.approx(1 - np.sqrt(r["p_S"]), abs=1e-12)
+            assert r["eq7_ST"] == pytest.approx(1 - np.sqrt(r["p_ST"]), abs=1e-12)
+        assert [r["chosen_unit"] for r in rows] == ["S", "ST"]
 
     def test_preference_csv(self, tmp_path):
         params = GateParams.for_config(CFG, init_drop=0.25)
         best = strategy_from_literature("bottom_heavy", CFG.total_layers)
         path = tmp_path / "pref.csv"
-        L.layer_preference_report(params, best).write_csv(path)
+        L.write_csv(path, L.PREFERENCE_HEADER, L.layer_preference_report(params, best))
         lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == L.PreferenceReport.CSV_HEADER
+        assert lines[0].split(",") == L.PREFERENCE_HEADER
         assert len(lines) == 1 + CFG.total_layers
 
     def test_evaluations_csv_sorted(self, tmp_path):

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from stfusion import lab as L
 from stfusion import tensor as T
 from stfusion.errors import ConfigurationError, ContractError, ShapeError, SizeGuardError
-from stfusion.gates import GateParams, GateSample, LayerGates, sample_gates_hard
+from stfusion.gates import GateParams, GateSample, LayerGates, sample_gates_concrete, sample_gates_hard
 from stfusion.model import (
     FusionStrategy,
     FusionUnitKind,
@@ -19,6 +20,7 @@ from stfusion.model import (
     recover_strategy,
     strategy_from_literature,
 )
+from conftest import fd_gradient
 
 SMALL = TemplateConfig(
     num_blocks=1, layers_per_block=2, growth_channels=4, stem_channels=4,
@@ -28,6 +30,12 @@ TWO_BLOCK = TemplateConfig(
     num_blocks=2, layers_per_block=2, growth_channels=3, stem_channels=4,
     clip_shape=(1, 4, 8, 8), num_classes=3,
 )
+
+
+def one_layer_blocks(num_blocks):
+    """One layer per block, so that a hand splice crosses each Transition."""
+    return TemplateConfig(num_blocks=num_blocks, layers_per_block=1, growth_channels=3,
+                          stem_channels=2, clip_shape=(1, 4, 6, 6), num_classes=2)
 
 
 def warm_up_batch_norms(net, rng, batch=6):
@@ -170,23 +178,47 @@ class TestForwardWithGates:
         assert np.array_equal(before, after)
 
     def test_half_gate_matches_hand_splice(self, rng):
-        cfg = TemplateConfig(num_blocks=1, layers_per_block=1, growth_channels=3,
-                             stem_channels=2, clip_shape=(1, 4, 6, 6), num_classes=2)
-        net = TemplateNetwork(cfg, seed=2)
-        x = warm_up_batch_norms(net, rng)
-        gates = GateSample.all_on(cfg)
-        gates.layers[0].s = 0.5
-        got = net.forward(x, gates, training=False).data
+        for num_blocks in (1, 2):  # with two blocks the splice crosses a Transition
+            cfg = one_layer_blocks(num_blocks)
+            net = TemplateNetwork(cfg, seed=2)
+            x = warm_up_batch_norms(net, rng)
+            gates = GateSample.all_on(cfg)
+            for lg in gates.layers:
+                lg.s = 0.5
+            got = net.forward(x, gates, training=False).data
 
-        # hand-spliced forward with the S branch activation halved
-        layer = net.layer_list()[0]
-        stem_out = T.conv2d_spatial(x, net.stem, 1)
-        s_out = T.scale(layer.branch_s(stem_out, False), 0.5)
-        st_out = layer.branch_st(stem_out, False)
-        feats = T.concat_channels([stem_out, T.add(s_out, st_out)])
-        feats = T.relu(net.final_bn(feats, False))
-        expected = T.pool_and_classify(feats, net.head).data
-        assert np.array_equal(got, expected)
+            # hand-spliced forward with each S branch activation halved
+            h = T.conv2d_spatial(x, net.stem, 1)
+            for b, [layer] in enumerate(net.blocks):
+                s_out = T.scale(layer.branch_s(h, False), 0.5)
+                st_out = layer.branch_st(h, False)
+                feats = T.concat_channels([h, T.add(s_out, st_out)])
+                if b < len(net.transitions):
+                    tr = net.transitions[b]
+                    h = T.avg_pool_spatial(T.conv2d_spatial(T.relu(tr.bn(feats, False)), tr.conv, 0))
+            feats = T.relu(net.final_bn(feats, False))
+            expected = T.pool_and_classify(feats, net.head).data
+            assert np.array_equal(got, expected), f"{num_blocks} blocks"
+
+    def test_nll_gradient_wrt_gate_logits(self, rng):
+        cfg = one_layer_blocks(2)
+        net = TemplateNetwork(cfg, seed=2)
+        params = GateParams.for_config(cfg, init_drop=0.3)
+        x = T.Tensor(rng.normal(size=(4,) + cfg.clip_shape))
+        labels = [0, 1, 1, 0]
+
+        def nll():
+            gates = sample_gates_concrete(params, np.random.default_rng(0))
+            return T.softmax_cross_entropy(net.forward(x, gates, training=True), labels)
+
+        # One norm over every logit: in train mode batch norm cancels an edge
+        # gate's scale up to its epsilon, so an edge logit's own gradient can be
+        # too small for a relative check of its own.
+        logits = params.trainable_tensors()
+        T.backward(nll())
+        analytic = np.array([float(t.grad) for t in logits])
+        fd = np.array([float(fd_gradient(nll, t)) for t in logits])
+        assert np.linalg.norm(analytic - fd) < 1e-6 * np.linalg.norm(fd)
 
     def test_gate_count_mismatch(self, rng):
         net = TemplateNetwork(SMALL, seed=0)
@@ -332,7 +364,24 @@ class TestStrategySerialization:
         assert s.to_json()["layers"][0]["u"] == "skip"
         assert FusionStrategy.from_json(s.to_json()) == s
 
-    def test_validate_rejects_active_layer_without_inputs(self):
-        layers = (StrategyLayer(l=1, v=(False,), u=FusionUnitKind.S),)
-        with pytest.raises(ContractError, match="selects no inputs"):
-            FusionStrategy(layers=layers).validate()
+    def test_validate_accepts_active_layer_without_inputs(self):
+        # in the space: its zero input still passes batch norm's shift into the convs
+        s = FusionStrategy(layers=(StrategyLayer(l=1, v=(False,), u=FusionUnitKind.S),))
+        assert s.validate() is s
+
+    def test_validate_rejects_a_misnumbered_layer(self):
+        with pytest.raises(ContractError, match="carries index 2"):
+            FusionStrategy(layers=(StrategyLayer(l=2, v=(True,), u=FusionUnitKind.S),)).validate()
+        with pytest.raises(ContractError, match="length 2, expected 1"):
+            FusionStrategy(layers=(StrategyLayer(l=1, v=(True, True), u=FusionUnitKind.S),)).validate()
+
+    def test_every_posterior_draw_is_in_the_space(self):
+        draws = L.sample_strategies(GateParams.for_config(TWO_BLOCK, init_drop=0.5), 200, np.random.default_rng(0))
+        assert any(layer.u is not None and not any(layer.v) for s in draws for layer in s.layers)
+        for s in draws:
+            assert FusionStrategy.from_json(json.loads(json.dumps(s.validate().to_json()))) == s
+
+    def test_layers_are_frozen_to_a_tuple(self):
+        s = FusionStrategy(layers=[StrategyLayer(l=1, v=(True,), u=FusionUnitKind.ST)])
+        assert s.layers == (StrategyLayer(l=1, v=(True,), u=FusionUnitKind.ST),)
+        assert len({s, FusionStrategy(layers=s.layers)}) == 1
