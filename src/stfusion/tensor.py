@@ -12,6 +12,7 @@ backward would need are freed as soon as each op returns.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -270,11 +271,38 @@ def concat_channels(tensors) -> Tensor:
 # convolutions (stride 1, same padding)
 # ---------------------------------------------------------------------------
 
-def _same_correlation(name: str, x: Tensor, kernel: Tensor, padding: int, axes: tuple, taps: str) -> Tensor:
+def _window_matrices(a, window: tuple, axes: tuple, padding: int):
+    """Yield each clip's same-padded window matrix of a (N, C, T, H, W) array.
+
+    Row (c, tap) of clip n's (C*taps, T*H*W) matrix holds channel c shifted by
+    that tap along `axes`; column (t, h, w) is an output position. One buffer
+    is refilled for every clip, so it stays in cache for the GEMMs that read
+    it, and a consumer must be done with a matrix before taking the next.
+    """
+    shape, inner = list(a.shape), [slice(None)] * 5
+    for axis in axes:
+        shape[axis] += 2 * padding
+        inner[axis] = slice(padding, padding + a.shape[axis])
+    padded = np.zeros(shape)
+    padded[tuple(inner)] = a
+    win = sliding_window_view(padded, window, axis=axes)  # (N, C, T, H, W, *window)
+    win = win.transpose(0, 1, *range(5, 5 + len(window)), 2, 3, 4)
+    buf = np.empty(win.shape[1:])
+    matrix = buf.reshape(a.shape[1] * math.prod(window), -1)
+    for clip in win:
+        buf[...] = clip
+        yield matrix
+
+
+def _same_correlation(name: str, x: Tensor, kernel: Tensor, padding: int, axes: tuple) -> Tensor:
     """Stride-1, same-padded cross-correlation of a rank-5 clip tensor.
 
     x: (N, C, T, H, W); kernel: (O, C, *window), one odd window extent per
-    axis in `axes` (positions in x), named by one letter each in `taps`.
+    axis in `axes` (positions in x). Lowered to GEMMs, clip by clip, over
+    window matrices (im2col): the forward multiplies the kernel by the
+    input's windows. The backward windows one operand: the output gradient
+    when x needs a gradient (it gives both gradients, through the flipped
+    kernel and flipped taps), else the input.
     """
     window = kernel.shape[2:]
     if len(x.shape) != 5 or len(kernel.shape) != 2 + len(axes):
@@ -289,32 +317,42 @@ def _same_correlation(name: str, x: Tensor, kernel: Tensor, padding: int, axes: 
     if any(padding != (k - 1) // 2 for k in window):
         raise ContractError(f"padding must be (k-1)/2 for same-shape output, got {padding} for {window}")
 
-    pad = [(0, 0)] * 5
-    for axis in axes:
-        pad[axis] = (padding, padding)
-    flip = (slice(None), slice(None)) + (slice(None, None, -1),) * len(axes)
-    xp = np.pad(x.data, pad)
-    win = sliding_window_view(xp, window, axis=axes)  # (N, C, T, H, W, *window)
-    out = np.einsum(f"ncthw{taps},oc{taps}->nothw", win, kernel.data, optimize=True)
+    n, o, taps = x.shape[0], kernel.shape[0], math.prod(window)
+    out = np.empty((n, o, math.prod(x.shape[2:])))
+    for i, win in enumerate(_window_matrices(x.data, window, axes, padding)):
+        np.matmul(kernel.data.reshape(o, c * taps), win, out=out[i])
+    flip_taps = (slice(None, None, -1),) * len(axes)
 
     def bwd(go):
-        if kernel.requires_grad:
-            kernel.grad += np.einsum(f"ncthw{taps},nothw->oc{taps}", win, go, optimize=True)
         if x.requires_grad:
-            gwin = sliding_window_view(np.pad(go, pad), window, axis=axes)
-            x.grad += np.einsum(f"nothw{taps},oc{taps}->ncthw", gwin, kernel.data[flip], optimize=True)
+            flipped = kernel.data[(slice(None), slice(None)) + flip_taps].swapaxes(0, 1).reshape(c, o * taps)
+            xs = x.data.reshape(n, c, -1)
+            gx, gk = np.empty(xs.shape), np.zeros((o * taps, c))
+            for i, g in enumerate(_window_matrices(go, window, axes, padding)):  # (O*taps, T*H*W)
+                np.matmul(flipped, g, out=gx[i])
+                if kernel.requires_grad:
+                    gk += g @ xs[i].T
+            x.grad += gx.reshape(x.shape)
+            if kernel.requires_grad:
+                gk = gk.reshape(o, *window, c)[(slice(None),) + flip_taps]
+                kernel.grad += np.moveaxis(gk, -1, 1)
+        elif kernel.requires_grad:
+            gs, gk = go.reshape(n, o, -1), np.zeros((o, c * taps))
+            for i, win in enumerate(_window_matrices(x.data, window, axes, padding)):
+                gk += gs[i] @ win.T
+            kernel.grad += gk.reshape(kernel.shape)
 
-    return _result(out, (x, kernel), bwd)
+    return _result(out.reshape((n, o) + x.shape[2:]), (x, kernel), bwd)
 
 
 def conv2d_spatial(x: Tensor, kernel: Tensor, padding: int) -> Tensor:
     """Per-frame 2D cross-correlation; x: (N, C, T, H, W), kernel: (O, C, kh, kw)."""
-    return _same_correlation("conv2d_spatial", x, kernel, padding, (3, 4), "ij")
+    return _same_correlation("conv2d_spatial", x, kernel, padding, (3, 4))
 
 
 def conv1d_temporal(x: Tensor, kernel: Tensor, padding: int) -> Tensor:
     """Per-pixel 1D temporal cross-correlation; x: (N, C, T, H, W), kernel: (O, C, kt)."""
-    return _same_correlation("conv1d_temporal", x, kernel, padding, (2,), "k")
+    return _same_correlation("conv1d_temporal", x, kernel, padding, (2,))
 
 
 def avg_pool_spatial(x: Tensor) -> Tensor:

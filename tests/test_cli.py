@@ -529,6 +529,24 @@ def test_pipeline_bytes_do_not_depend_on_the_process(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # `oracle --jobs N` runs its workers on one BLAS thread and `--jobs 1` on
+    # the default count, so the convs' GEMMs must sum alike on both.
+    cfg_path = write_config(tmp_path, base_config())
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in source_env().items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        wd = tmp_path / f"threads-{threads}"
+        for stage in ("generate", "train", "sample-eval"):
+            subprocess.run([sys.executable, "-m", "stfusion.cli", stage, "--config", cfg_path, "--workdir", str(wd)],
+                           env=env, capture_output=True, check=True)
+        outputs.append({name: (wd / name).read_bytes() for name in (cli.HISTORY_FILE, cli.GATES_FILE, cli.EVALS_FILE)})
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_import_loads_no_scipy():
     probe = "import sys, stfusion.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True, check=True)

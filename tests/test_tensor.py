@@ -337,6 +337,93 @@ class TestFiniteDifferences:
         assert max_rel_error(lambda: T.softmax_cross_entropy(logits, [0, 1, 2, 3]), [logits]) < 1e-6
 
 
+# (op, loop reference, kernel window): the template's 3x3 and kt = 3, the
+# Transition's 1x1, and the other odd extents a config may set.
+CONV_CASES = [
+    (T.conv2d_spatial, conv2d_loop, (3, 3)),
+    (T.conv2d_spatial, conv2d_loop, (1, 1)),
+    (T.conv2d_spatial, conv2d_loop, (5, 5)),
+    (T.conv1d_temporal, conv1d_loop, (3,)),
+    (T.conv1d_temporal, conv1d_loop, (1,)),
+    (T.conv1d_temporal, conv1d_loop, (5,)),
+]
+CONV_IDS = [f"{op.__name__}-{'x'.join(map(str, window))}" for op, _, window in CONV_CASES]
+# The 3x3 and kt = 3 cases of these two are TestConv*.test_against_loop_oracle
+# and TestFiniteDifferences.test_conv*.
+OTHER_EXTENTS = dict(argvalues=CONV_CASES[1:3] + CONV_CASES[4:], ids=CONV_IDS[1:3] + CONV_IDS[4:])
+TEMPLATE_EXTENTS = dict(argvalues=CONV_CASES[:1] + CONV_CASES[3:4], ids=CONV_IDS[:1] + CONV_IDS[3:4])
+
+
+class TestConvBackwardBranches:
+    """Each gradient branch of the one conv, against finite differences.
+
+    With an input that needs a gradient the backward works from the output
+    gradient's windows (both gradients); with only the kernel needing one, as
+    at the stem, from the input's windows.
+    """
+
+    def _operands(self, rng, window, x_grad=True, k_grad=True):
+        x = T.Tensor(rng.normal(size=(2, 3, 6, 6, 6)), requires_grad=x_grad)
+        k = T.Tensor(rng.normal(size=(2, 3) + window), requires_grad=k_grad)
+        return x, k
+
+    def _loss(self, op, x, k, seed=0):
+        return linear_probe(op(x, k, (k.shape[2] - 1) // 2), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("op, loop, window", **OTHER_EXTENTS)
+    def test_forward_against_loop_oracle(self, rng, op, loop, window):
+        x, k = self._operands(rng, window)
+        padding = (window[0] - 1) // 2
+        assert np.allclose(op(x, k, padding).data, loop(x.data, k.data, padding), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("op, loop, window", **OTHER_EXTENTS)
+    def test_both_gradients(self, rng, op, loop, window):
+        x, k = self._operands(rng, window)
+        assert max_rel_error(lambda: self._loss(op, x, k), [x, k]) < 1e-6
+
+    @pytest.mark.parametrize("op, loop, window", CONV_CASES, ids=CONV_IDS)
+    def test_kernel_only(self, rng, op, loop, window):
+        x, k = self._operands(rng, window, x_grad=False)
+        assert max_rel_error(lambda: self._loss(op, x, k), [k]) < 1e-6
+        assert x.grad is None
+
+    @pytest.mark.parametrize("op, loop, window", CONV_CASES, ids=CONV_IDS)
+    def test_input_only(self, rng, op, loop, window):
+        x, k = self._operands(rng, window, k_grad=False)
+        assert max_rel_error(lambda: self._loss(op, x, k), [x]) < 1e-6
+        assert k.grad is None
+
+    @pytest.mark.parametrize("op, loop, window", **TEMPLATE_EXTENTS)
+    def test_branches_agree_on_the_kernel_gradient(self, rng, op, loop, window):
+        x, k = self._operands(rng, window)
+        grads = []
+        for x_grad in (True, False):
+            x.requires_grad = x_grad
+            T.backward(self._loss(op, x, k))
+            grads.append(k.grad.copy())
+        assert np.allclose(grads[0], grads[1], atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("x2_grad", [False, True])
+    @pytest.mark.parametrize("op, loop, window", **TEMPLATE_EXTENTS)
+    def test_kernel_used_twice_adds_its_gradients(self, rng, op, loop, window, x2_grad):
+        x1, k = self._operands(rng, window, x_grad=False)
+        x2 = T.Tensor(rng.normal(size=x1.shape), requires_grad=x2_grad)
+        alone = []
+        for x, seed in ((x1, 0), (x2, 1)):
+            T.backward(self._loss(op, x, k, seed))
+            alone.append(k.grad.copy())
+        make = lambda: T.add(self._loss(op, x1, k, 0), self._loss(op, x2, k, 1))
+        T.backward(make())
+        assert np.array_equal(k.grad, alone[0] + alone[1])
+        assert max_rel_error(make, [k, x2] if x2_grad else [k]) < 1e-6
+
+    def test_input_used_twice_adds_its_gradients(self, rng):
+        x, k1 = self._operands(rng, (3, 3))
+        k2 = T.Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        make = lambda: T.add(self._loss(T.conv2d_spatial, x, k1), self._loss(T.conv1d_temporal, x, k2, 1))
+        assert max_rel_error(make, [x, k1, k2]) < 1e-6
+
+
 class TestSGD:
     def test_single_step(self):
         w = T.Parameter(np.array(1.0), "w")
