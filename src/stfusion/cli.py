@@ -5,9 +5,12 @@
 
 Exit codes: 0 ok, 2 config error, 3 training divergence, 4 missing artifact,
 5 enumeration size guard, 6 artifact unreadable or does not match config.
+
+Each command and each `oracle --jobs N` worker first pins glibc's heap thresholds (`_pin_heap`).
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import multiprocessing
 import os
@@ -42,6 +45,25 @@ BEST_FILE = "best_strategy.json"
 PREFERENCE_FILE = "preference.csv"
 ORACLE_FILE = "oracle.csv"
 RHO_FILE = "rho.json"
+
+
+M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's <malloc.h>
+M_MMAP_THRESHOLD = -3
+
+
+def _pin_heap():
+    """Fix glibc's mmap and trim thresholds at 32 and 256 MiB; a no-op where libc has no `mallopt`.
+
+    By default glibc sets both from the largest mapped block freed so far. No
+    temporary here is larger than about 2 MB, so they stay that low: the
+    memory of each op's arrays goes back to the system when they are freed
+    and is faulted in again on the next call. Fixed, freed memory stays in
+    the heap.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(M_TRIM_THRESHOLD, 256 << 20)
 
 
 def _load_config(config_path, workdir, seed) -> tuple:
@@ -128,6 +150,7 @@ seed_option = click.option("--seed", default=None, type=int, help="Override sche
 @click.group()
 def main():
     """Spatiotemporal fusion strategy lab."""
+    _pin_heap()
 
 
 @main.command()
@@ -217,6 +240,7 @@ _oracle_inputs = None  # (cfg, train_set, val_set), set once per process by _ora
 
 def _oracle_init(cfg, train_set, val_set):
     global _oracle_inputs
+    _pin_heap()
     _oracle_inputs = (cfg, train_set, val_set)
 
 

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+from stfusion import cli
 from stfusion import lab as L
 from stfusion import tensor as T
 from stfusion.errors import ContractError
 from stfusion.model import Subnetwork
+
+
+def pytest_sessionstart(session):
+    """Pin the heap as every CLI command does: the acceptance criteria train through `lab` in this process."""
+    cli._pin_heap()
 
 
 def linear_probe(out, rng):

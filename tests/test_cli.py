@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import platform
+import resource
 import runpy
 import subprocess
 import sys
@@ -510,6 +512,47 @@ def test_oracle_pool_workers_run_blas_on_one_thread(monkeypatch):
     with cli._pinned_pool(2) as pool:
         assert list(pool.map(os.getenv, pinned)) == ["1"] * 3
     assert dict(os.environ) == before
+
+
+def heap_faults_per_step(steps=20):
+    """Minor page faults per step of a pad, scale and add over 1.2 MB float64 arrays, alive at once as in an op."""
+    x = np.random.default_rng(0).normal(size=(8, 16, 8, 12, 12))
+
+    def step():
+        padded = np.pad(x, 1)
+        scaled = padded * 0.5
+        return scaled + 1.0
+
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(steps):
+        step()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pin is glibc's mallopt")
+def test_commands_and_oracle_workers_pin_the_heap(tmp_path, monkeypatch):
+    # Fresh interpreters, since this one may be pinned already; each measures
+    # the probe before and after the pin, so it also shows the unpinned figure.
+    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+        monkeypatch.delenv(name, raising=False)
+    cfg_path = write_config(tmp_path, base_config())
+    probe = ("import sys; from test_cli import heap_faults_per_step; from stfusion import cli; "
+             "before = heap_faults_per_step(); "
+             "cli.main(['generate', '--config', sys.argv[1], '--workdir', sys.argv[2]], standalone_mode=False); "
+             "print(before, heap_faults_per_step())")
+    env = source_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
+    result = subprocess.run([sys.executable, "-c", probe, cfg_path, str(tmp_path / "run")],
+                            env=env, capture_output=True, text=True, check=True)
+    unpinned, pinned = map(float, result.stdout.split()[-2:])
+    assert pinned < unpinned / 20, (unpinned, pinned)
+
+    with cli._pinned_pool(1) as pool:
+        unpinned = pool.submit(heap_faults_per_step).result()
+    with cli._pinned_pool(1, cli._oracle_init, (None, None, None)) as pool:
+        pinned = pool.submit(heap_faults_per_step).result()
+    assert pinned < unpinned / 20, (unpinned, pinned)
 
 
 def test_pipeline_bytes_do_not_depend_on_the_process(tmp_path):
