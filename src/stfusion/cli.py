@@ -183,9 +183,8 @@ def train(config_path, workdir, seed):
         click.echo(f"training diverged: {exc}", err=True)
         sys.exit(EXIT_DIVERGED)
     _save_weights(net, wd / WEIGHTS_FILE)
-    params.save(wd / GATES_FILE)
-    with open(wd / HISTORY_FILE, "w") as f:
-        json.dump(history, f, indent=2, sort_keys=True)
+    lab.write_json(wd / GATES_FILE, params.to_json())
+    lab.write_json(wd / HISTORY_FILE, history)
     click.echo(f"trained {len(history)} epochs; wrote {wd / WEIGHTS_FILE}, {wd / GATES_FILE}, {wd / HISTORY_FILE}")
 
 
@@ -205,20 +204,9 @@ def sample_eval(config_path, workdir, seed):
     recal = train_set if cfg.sampling.recalibrate_bn else None
     evals = lab.evaluate_strategy(net, strategies, val_set, recalibrate=recal)
     lab.write_evaluations_csv(evals, wd / EVALS_FILE)
-    best = lab.select_best(evals) if evals else None
-    if best is not None:
-        with open(wd / BEST_FILE, "w") as f:
-            json.dump(
-                {
-                    "strategy": best.strategy.to_json(),
-                    "val_accuracy": best.val_accuracy,
-                    "active_params": best.active_param_count,
-                    "mult_adds": best.mult_add_proxy,
-                },
-                f,
-                indent=2,
-                sort_keys=True,
-            )
+    best = lab.select_best(evals)
+    lab.write_json(wd / BEST_FILE, {"strategy": best.strategy.to_json(), "val_accuracy": best.val_accuracy,
+                                    "active_params": best.active_param_count, "mult_adds": best.mult_add_proxy})
     click.echo(f"evaluated {len(evals)} strategies; wrote {wd / EVALS_FILE}, {wd / BEST_FILE}")
 
 
@@ -269,7 +257,7 @@ def _pinned_pool(jobs, initializer=None, initargs=()):
 @config_option
 @workdir_option
 @seed_option
-@click.option("--jobs", default=1, show_default=True, type=int, help="Parallel standalone trainings.")
+@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1), help="Parallel standalone trainings.")
 def oracle(config_path, workdir, seed, jobs):
     """Train every enumerated strategy standalone and compare to the posterior."""
     cfg, wd = _load_config(config_path, workdir, seed)
@@ -302,18 +290,8 @@ def oracle(config_path, workdir, seed, jobs):
         for s, oa, pa in zip(strategies, oracle_accs, posterior)
     ])
     rho = lab.rank_correlation(posterior, oracle_accs)
-    with open(wd / RHO_FILE, "w") as f:
-        json.dump(
-            {
-                "seed": cfg.schedule.seed,
-                "spearman_rho": rho,
-                "oracle_accuracies": oracle_accs,
-                "posterior_accuracies": posterior,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+    lab.write_json(wd / RHO_FILE, {"seed": cfg.schedule.seed, "spearman_rho": rho,
+                                   "oracle_accuracies": oracle_accs, "posterior_accuracies": posterior})
     click.echo(f"oracle over {len(strategies)} strategies: spearman rho = {rho:.4f}")
 
 

@@ -30,8 +30,8 @@ class SamplingConfig:
     recalibrate_bn: bool = False
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ConfigurationError(f"sampling count must be >= 0, got {self.count}")
+        if self.count < 1:
+            raise ConfigurationError(f"sampling count must be >= 1, got {self.count}")
 
 
 @dataclass(frozen=True)

@@ -101,10 +101,6 @@ class ClipDataset:
     def __len__(self):
         return self.clips.shape[0]
 
-    @property
-    def clip_shape(self):
-        return self.clips.shape[1:]
-
 
 def temporal_profiles(classes: int, t: int) -> np.ndarray:
     """Distinct per-class intensity profiles: permutations of one level set."""

@@ -2,15 +2,17 @@
 binary-concrete sampling, the training objective, and unit marginals.
 
 Conventions: p is the DROP probability of a site; a gate value of 1 means the
-site is KEPT. Hard samples use the inverse-CDF rule keep = (u > p) with the
-same per-site noise-draw order as the relaxed sampler, so annealing the
-temperature on a fixed noise stream converges to the hard sample.
+site is KEPT. Hard samples use the inverse-CDF rule keep = (u > p) on the
+same per-site noise draws as the relaxed sampler (both draw through `_draw`),
+so annealing the temperature on a fixed noise stream converges to the hard
+sample.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +32,8 @@ def edge_counts(blocks) -> list:
     return list(range(1, per_block + 1)) * num_blocks
 
 
-@dataclass
-class LayerGateLogits:
-    """Unconstrained drop-probability logits for one layer's gate sites."""
+class LayerGateLogits(NamedTuple):
+    """Unconstrained drop-probability logits for one layer's gate sites, in draw order."""
     edge: Tensor   # shared across the layer's incoming edges
     s: Tensor      # spatial branch
     st: Tensor     # spatiotemporal branch
@@ -50,14 +51,8 @@ class GateParams:
         self.edge_counts = edge_counts(self.blocks)
         self.tau = float(tau)
         z = _logit(init_drop)
-        self.layers = [
-            LayerGateLogits(
-                edge=Tensor(np.float64(z), requires_grad=True),
-                s=Tensor(np.float64(z), requires_grad=True),
-                st=Tensor(np.float64(z), requires_grad=True),
-            )
-            for _ in self.edge_counts
-        ]
+        self.layers = [LayerGateLogits(*(Tensor(np.float64(z), requires_grad=True) for _ in range(3)))
+                       for _ in self.edge_counts]
 
     @classmethod
     def for_config(cls, config, init_drop: float = 0.1, tau: float = 1.0) -> "GateParams":
@@ -71,13 +66,10 @@ class GateParams:
     def drop_probs(self):
         """Current (p_edge, p_S, p_ST) per layer as floats."""
         sig = lambda z: 1.0 / (1.0 + math.exp(-float(z.data)))
-        return [(sig(lg.edge), sig(lg.s), sig(lg.st)) for lg in self.layers]
+        return [tuple(sig(z) for z in lg) for lg in self.layers]
 
     def trainable_tensors(self):
-        out = []
-        for lg in self.layers:
-            out.extend([lg.edge, lg.s, lg.st])
-        return out
+        return [z for lg in self.layers for z in lg]
 
     def to_json(self) -> dict:
         return {
@@ -100,15 +92,11 @@ class GateParams:
         if len(records) != params.num_layers:
             raise ContractError(f"gates JSON lists {len(records)} layers but edge_counts has {params.num_layers}")
         for i, (lg, rec) in enumerate(zip(params.layers, records), start=1):
-            for key, logit in (("p_edge", lg.edge), ("p_S", lg.s), ("p_ST", lg.st)):
+            for key, logit in zip(("p_edge", "p_S", "p_ST"), lg):
                 if not 0.0 <= rec[key] <= 1.0:  # NaN fails too
                     raise ContractError(f"gates JSON layer {i} has {key} {rec[key]}, outside [0, 1]")
                 logit.data = np.float64(_logit(rec[key]))
         return params
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=2, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "GateParams":
@@ -135,15 +123,22 @@ class GateSample:
         return cls(layers=[LayerGates(edges=[1.0] * n, s=1.0, st=1.0) for n in edge_counts(blocks)], blocks=blocks)
 
 
+def _draw(params: GateParams, sites: list, rng: np.random.Generator, gate) -> GateSample:
+    """Gates from one `rng.random()` per site instance: each layer's edges, then S, then ST.
+
+    `sites` holds each layer's (edge, S, ST) parameters; `gate(site, u)` turns
+    one and its noise into a gate value.
+    """
+    layers = []
+    for (edge, s, st), n_edges in zip(sites, params.edge_counts):
+        edges = [gate(edge, rng.random()) for _ in range(n_edges)]
+        layers.append(LayerGates(edges=edges, s=gate(s, rng.random()), st=gate(st, rng.random())))
+    return GateSample(layers=layers, blocks=params.blocks)
+
+
 def sample_gates_hard(params: GateParams, rng: np.random.Generator) -> GateSample:
     """Draw hard Bernoulli gates; each site kept with probability 1-p."""
-    layers = []
-    for (pe, ps, pst), n_edges in zip(params.drop_probs(), params.edge_counts):
-        edges = [1.0 if rng.random() > pe else 0.0 for _ in range(n_edges)]
-        s = 1.0 if rng.random() > ps else 0.0
-        st = 1.0 if rng.random() > pst else 0.0
-        layers.append(LayerGates(edges=edges, s=s, st=st))
-    return GateSample(layers=layers, blocks=params.blocks)
+    return _draw(params, params.drop_probs(), rng, lambda p, u: 1.0 if u > p else 0.0)
 
 
 def _concrete_site(logit_p: Tensor, u: float, tau: float) -> Tensor:
@@ -156,13 +151,7 @@ def sample_gates_concrete(params: GateParams, rng: np.random.Generator) -> GateS
     """Draw relaxed binary-concrete gates, differentiable in the drop logits."""
     if params.tau <= 0:
         raise ContractError(f"concrete sampling requires tau > 0, got {params.tau}")
-    layers = []
-    for lg, n_edges in zip(params.layers, params.edge_counts):
-        edges = [_concrete_site(lg.edge, rng.random(), params.tau) for _ in range(n_edges)]
-        s = _concrete_site(lg.s, rng.random(), params.tau)
-        st = _concrete_site(lg.st, rng.random(), params.tau)
-        layers.append(LayerGates(edges=edges, s=s, st=st))
-    return GateSample(layers=layers, blocks=params.blocks)
+    return _draw(params, params.layers, rng, lambda logit_p, u: _concrete_site(logit_p, u, params.tau))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +199,7 @@ def objective(nll: Tensor, params: GateParams, weights, cfg: ObjectiveConfig) ->
     # entropy-like term: every site instance contributes p log p
     ent = None
     for lg, n_edges in zip(params.layers, params.edge_counts):
-        for logit, count in ((lg.edge, n_edges), (lg.s, 1), (lg.st, 1)):
+        for logit, count in zip(lg, (n_edges, 1, 1)):
             p = T.sigmoid(logit)
             site = T.mul(p, T.log(p))
             if count != 1:

@@ -14,7 +14,7 @@ from . import data as D
 from . import gates as G
 from .errors import ConfigurationError, ContractError, TrainingDiverged
 from .gates import GateParams, GateSample, ObjectiveConfig, objective
-from .model import FusionStrategy, Subnetwork, TemplateNetwork, recover_strategy, strategy_from_literature, unit_name
+from .model import FusionStrategy, Subnetwork, TemplateNetwork, recover_strategy, unit_name
 from .tensor import SGD, Tensor, backward, no_tape, softmax_cross_entropy
 
 
@@ -62,8 +62,8 @@ def _in_order(dataset: D.ClipDataset):
 
 
 def template_accuracy(net: TemplateNetwork, dataset: D.ClipDataset) -> float:
-    """Template accuracy in eval mode: the all-S+ST strategy with every edge kept."""
-    full = strategy_from_literature("mixed_everywhere", net.config.total_layers)
+    """Template accuracy in eval mode: every gate on."""
+    full = recover_strategy(GateSample.all_on(net.config))
     return evaluate_strategy(net, [full], dataset)[0].val_accuracy
 
 
@@ -289,6 +289,12 @@ def write_csv(path, header, rows):
         writer = csv.DictWriter(f, header)
         writer.writeheader()
         writer.writerows(rows)
+
+
+def write_json(path, obj):
+    """One JSON artifact: indented, keys sorted."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
 
 
 def strategy_json(strategy: FusionStrategy) -> str:

@@ -104,26 +104,6 @@ class FusionStrategy:
         return cls(layers=tuple(layers))
 
 
-def strategy_from_literature(name: str, num_layers: int) -> FusionStrategy:
-    """Reference strategies: top-heavy, bottom-heavy, and mixed-everywhere."""
-    half = num_layers // 2
-    if name == "top_heavy":
-        units = [FusionUnitKind.S] * half + [FusionUnitKind.ST] * (num_layers - half)
-    elif name == "bottom_heavy":
-        units = [FusionUnitKind.S] * half + [FusionUnitKind.ST] * (num_layers - half)
-        units = units[::-1]
-    elif name == "mixed_everywhere":
-        units = [FusionUnitKind.S_PLUS_ST] * num_layers
-    else:
-        raise ConfigurationError(
-            f"unknown literature strategy {name!r}; options: top_heavy, bottom_heavy, mixed_everywhere"
-        )
-    layers = tuple(
-        StrategyLayer(l=i, v=(True,) * i, u=units[i - 1]) for i in range(1, num_layers + 1)
-    )
-    return FusionStrategy(layers=layers)
-
-
 def enumerate_all_strategies(num_layers: int) -> list:
     """All 3^L unit assignments with every edge enabled, lexicographic order."""
     count = 3 ** num_layers

@@ -5,7 +5,7 @@ from stfusion import cli
 from stfusion import lab as L
 from stfusion import tensor as T
 from stfusion.errors import ContractError
-from stfusion.model import Subnetwork
+from stfusion.model import FusionStrategy, FusionUnitKind, StrategyLayer, Subnetwork
 
 
 def pytest_sessionstart(session):
@@ -73,6 +73,18 @@ def monte_carlo_unit_marginal(params, layer: int, n: int, rng) -> dict:
         "S+ST": float(np.mean(keep_s & keep_st)),
         "skip": float(np.mean(~keep_s & ~keep_st)),
     }
+
+
+def strategy_from_literature(name: str, num_layers: int) -> FusionStrategy:
+    """Reference strategies with every edge kept: S below ST ("top_heavy"), ST below S
+    ("bottom_heavy"), or S+ST in every layer ("mixed_everywhere")."""
+    half = num_layers // 2
+    units = {
+        "top_heavy": [FusionUnitKind.S] * half + [FusionUnitKind.ST] * (num_layers - half),
+        "mixed_everywhere": [FusionUnitKind.S_PLUS_ST] * num_layers,
+    }
+    units["bottom_heavy"] = units["top_heavy"][::-1]
+    return FusionStrategy(tuple(StrategyLayer(l=i, v=(True,) * i, u=u) for i, u in enumerate(units[name], start=1)))
 
 
 def evaluate_one(net, strategy, val, recalibrate=None):

@@ -180,7 +180,7 @@ def test_criterion_3_marginal_arithmetic(tmp_path):
     params = GateParams.for_config(EXP_TEMPLATE, init_drop=0.37)
     params.layers[1].s.data = np.float64(0.8)
     path = tmp_path / "gates.json"
-    params.save(path)
+    L.write_json(path, params.to_json())
     loaded = GateParams.load(path)
     best = _all_unit(FusionUnitKind.S_PLUS_ST, EXP_TEMPLATE.total_layers)
     rows = L.layer_preference_report(loaded, best)

@@ -137,7 +137,8 @@ class TestGenerate:
         ("data", "clips_per_class", 1, "clips_per_class must be >= 2, got 1"),
         ("schedule", "warmup_epochs", -1, "epoch counts must be >= 0"),
         ("template", "kernel_sizes", [3, 3, 5], "spatial kernels must be square (kh == kw), got (3, 3, 5)"),
-    ], ids=["batch-size-0", "one-clip-per-class", "negative-epochs", "non-square-kernel"])
+        ("sampling", "count", 0, "sampling count must be >= 1, got 0"),
+    ], ids=["batch-size-0", "one-clip-per-class", "negative-epochs", "non-square-kernel", "sampling-count-0"])
     def test_impossible_config_exit_2(self, runner, tmp_path, section, key, value, message):
         cfg = base_config()
         cfg[section][key] = value
@@ -339,7 +340,7 @@ class TestSampleEvalAndReport:
     def test_gates_of_another_template_exit_6(self, runner, trained, stage):
         cfg_path, wd = trained
         invoke(runner, ["sample-eval", "--config", cfg_path, "--workdir", str(wd)])
-        GateParams(blocks=(1, 1)).save(wd / cli.GATES_FILE)
+        L.write_json(wd / cli.GATES_FILE, GateParams(blocks=(1, 1)).to_json())
         result = runner.invoke(cli.main, [stage, "--config", cfg_path, "--workdir", str(wd)])
         assert result.exit_code == cli.EXIT_MISMATCH
         lines = result.output.splitlines()
@@ -465,6 +466,15 @@ class TestOracle:
             assert len(lines) == 1 and lines[0].startswith("oracle training diverged: "), result.output
             messages.append(lines[0])
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_2(self, runner, tmp_path, jobs):
+        cfg_path = write_config(tmp_path, base_config())
+        wd = tmp_path / "run"
+        result = runner.invoke(cli.main, ["oracle", "--config", cfg_path, "--workdir", str(wd), "--jobs", jobs])
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert "Invalid value for '--jobs'" in result.output
+        assert not (wd / cli.ORACLE_FILE).exists()
 
     def test_size_guard_exit_5(self, runner, tmp_path):
         cfg = base_config()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from stfusion import lab as L
 from stfusion import tensor as T
 from stfusion.errors import ContractError, DomainError
 from stfusion.gates import (
@@ -245,7 +246,7 @@ class TestCheckpoint:
         params = GateParams.for_config(CFG, init_drop=0.17, tau=0.4)
         params.layers[1].st.data = np.float64(1.3)
         path = tmp_path / "gates.json"
-        params.save(path)
+        L.write_json(path, params.to_json())
         loaded = GateParams.load(path)
         for (a, b, c), (d, e, f) in zip(params.drop_probs(), loaded.drop_probs()):
             assert abs(a - d) < 1e-9 and abs(b - e) < 1e-9 and abs(c - f) < 1e-9
@@ -255,7 +256,7 @@ class TestCheckpoint:
     def test_schema(self, tmp_path):
         params = GateParams.for_config(CFG)
         path = tmp_path / "gates.json"
-        params.save(path)
+        L.write_json(path, params.to_json())
         obj = json.loads(path.read_text())
         assert set(obj) >= {"layers", "tau"}
         assert set(obj["layers"][0]) == {"p_edge", "p_S", "p_ST"}

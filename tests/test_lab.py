@@ -18,12 +18,15 @@ from stfusion.model import (
     TemplateConfig,
     TemplateNetwork,
     enumerate_all_strategies,
-    strategy_from_literature,
 )
-from conftest import evaluate_one
+from conftest import evaluate_one, strategy_from_literature
 
 CFG = TemplateConfig(
     num_blocks=1, layers_per_block=2, growth_channels=4, stem_channels=4,
+    clip_shape=(1, 4, 8, 8), num_classes=2,
+)
+CFG2 = TemplateConfig(
+    num_blocks=2, layers_per_block=2, growth_channels=4, stem_channels=4,
     clip_shape=(1, 4, 8, 8), num_classes=2,
 )
 
@@ -146,13 +149,15 @@ def _checksum(net):
 
 
 class TestEvaluateStrategy:
-    def test_full_strategy_matches_template(self, tiny_splits):
+    @pytest.mark.parametrize("config", [CFG, CFG2], ids=["one-block", "two-block"])
+    def test_full_strategy_matches_template(self, tiny_splits, config):
+        # with two blocks, the template's all-on strategy has False in the cross-block v slots
         train, val = tiny_splits
-        net = TemplateNetwork(CFG, seed=1)
+        net = TemplateNetwork(config, seed=1)
         sched = L.TrainSchedule(warmup_epochs=2, main_epochs=0, batch_size=8, lr=0.05, seed=1)
-        L.train_template(net, GateParams.for_config(CFG), train, val, sched,
+        L.train_template(net, GateParams.for_config(config), train, val, sched,
                          ObjectiveConfig(k=1.0, n_train=len(train)))
-        full = strategy_from_literature("mixed_everywhere", CFG.total_layers)
+        full = strategy_from_literature("mixed_everywhere", config.total_layers)
         [ev] = L.evaluate_strategy(net, [full], val)
         assert ev.val_accuracy == L.template_accuracy(net, val)
 
@@ -185,12 +190,6 @@ class TestEvaluateStrategy:
         empty = D.ClipDataset(clips=train.clips[:0], labels=train.labels[:0], manifest=train.manifest)
         with pytest.raises(ContractError):
             L.evaluate_strategy(net, [strategy_from_literature("top_heavy", 2)], empty, recalibrate=train)
-
-
-CFG2 = TemplateConfig(
-    num_blocks=2, layers_per_block=2, growth_channels=4, stem_channels=4,
-    clip_shape=(1, 4, 8, 8), num_classes=2,
-)
 
 
 @pytest.fixture(scope="module")

@@ -18,9 +18,8 @@ from stfusion.model import (
     enumerate_all_strategies,
     gates_from_strategy,
     recover_strategy,
-    strategy_from_literature,
 )
-from conftest import fd_gradient
+from conftest import fd_gradient, strategy_from_literature
 
 SMALL = TemplateConfig(
     num_blocks=1, layers_per_block=2, growth_channels=4, stem_channels=4,
@@ -310,27 +309,6 @@ class TestMaterializeAndRecover:
         template_ids = {p.identifier for p in net.parameters()}
         assert s_ids <= both_ids <= template_ids
         assert s_ids < both_ids  # the S view drops the ST kernels
-
-
-class TestLiteratureStrategies:
-    def test_top_heavy(self):
-        s = strategy_from_literature("top_heavy", 4)
-        assert [layer.u for layer in s.layers] == [
-            FusionUnitKind.S, FusionUnitKind.S, FusionUnitKind.ST, FusionUnitKind.ST
-        ]
-
-    def test_mixed_everywhere(self):
-        s = strategy_from_literature("mixed_everywhere", 3)
-        assert all(layer.u == FusionUnitKind.S_PLUS_ST for layer in s.layers)
-
-    def test_bottom_heavy_is_reversed_top_heavy(self):
-        top = [layer.u for layer in strategy_from_literature("top_heavy", 5).layers]
-        bottom = [layer.u for layer in strategy_from_literature("bottom_heavy", 5).layers]
-        assert bottom == top[::-1]
-
-    def test_unknown_name(self):
-        with pytest.raises(ConfigurationError, match="top_heavy"):
-            strategy_from_literature("diagonal", 4)
 
 
 class TestEnumerate:
