@@ -70,6 +70,11 @@ def _build(cls, obj: dict, path: str, **given):
 
 
 def parse_run_config(obj: dict) -> RunConfig:
+    names = lambda *classes: {f.name for cls in classes for f in fields(cls)}
+    sections = {  # the keys each section may set
+        "template": names(TemplateConfig), "schedule": names(TrainSchedule), "objective": {"k"},
+        "data": names(DataConfig, SynthSpec) - {"spec"}, "sampling": names(SamplingConfig),
+    }
     try:
         template = _build(TemplateConfig, _get(obj, "template", ""), "template.")
         schedule = _build(TrainSchedule, _get(obj, "schedule", ""), "schedule.")
@@ -82,6 +87,11 @@ def parse_run_config(obj: dict) -> RunConfig:
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(str(exc)) from exc
+    # every present section is a JSON object by now; read as absent, a misspelt key would take its default
+    unknown = [key for key in obj if key not in sections] + [
+        f"{key}.{name}" for key, known in sections.items() for name in obj.get(key, {}) if name not in known]
+    if unknown:
+        raise ConfigurationError(f"unknown config field: {unknown[0]}")
     if tuple(cfg.data.spec.clip_shape) != tuple(cfg.template.clip_shape):
         raise ConfigurationError(
             f"data.clip_shape {cfg.data.spec.clip_shape} differs from template.clip_shape {cfg.template.clip_shape}"

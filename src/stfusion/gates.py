@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +31,18 @@ def edge_counts(blocks) -> list:
     """Incoming edges of each layer under (num_blocks, layers_per_block): block input + in-block predecessors."""
     num_blocks, per_block = blocks
     return list(range(1, per_block + 1)) * num_blocks
+
+
+class FusionUnitKind(Enum):
+    """A layer's fusion unit: its artifact label and the branch gate sites (keep_S, keep_ST) it keeps."""
+    S = ("S", (True, False))
+    ST = ("ST", (False, True))
+    S_PLUS_ST = ("S+ST", (True, True))
+    SKIP = ("skip", (False, False))
+
+    def __init__(self, label, sites):
+        self.label = label
+        self.sites = sites
 
 
 class LayerGateLogits(NamedTuple):
@@ -64,9 +77,8 @@ class GateParams:
         return len(self.layers)
 
     def drop_probs(self):
-        """Current (p_edge, p_S, p_ST) per layer as floats."""
-        sig = lambda z: 1.0 / (1.0 + math.exp(-float(z.data)))
-        return [tuple(sig(z) for z in lg) for lg in self.layers]
+        """Current (p_edge, p_S, p_ST) per layer as floats, bit-equal to the objective's `tensor.sigmoid`."""
+        return [tuple(float(T.logistic(z.data)) for z in lg) for lg in self.layers]
 
     def trainable_tensors(self):
         return [z for lg in self.layers for z in lg]
@@ -114,13 +126,13 @@ class LayerGates:
 
 @dataclass
 class GateSample:
+    """One gate per site. Layer i's edges are its block input, then its in-block predecessors up to layer i - 1."""
     layers: list
-    blocks: tuple = (1, 1)
 
     @classmethod
     def all_on(cls, config) -> "GateSample":
         blocks = (config.num_blocks, config.layers_per_block)
-        return cls(layers=[LayerGates(edges=[1.0] * n, s=1.0, st=1.0) for n in edge_counts(blocks)], blocks=blocks)
+        return cls([LayerGates(edges=[1.0] * n, s=1.0, st=1.0) for n in edge_counts(blocks)])
 
 
 def _draw(params: GateParams, sites: list, rng: np.random.Generator, gate) -> GateSample:
@@ -133,7 +145,7 @@ def _draw(params: GateParams, sites: list, rng: np.random.Generator, gate) -> Ga
     for (edge, s, st), n_edges in zip(sites, params.edge_counts):
         edges = [gate(edge, rng.random()) for _ in range(n_edges)]
         layers.append(LayerGates(edges=edges, s=gate(s, rng.random()), st=gate(st, rng.random())))
-    return GateSample(layers=layers, blocks=params.blocks)
+    return GateSample(layers)
 
 
 def sample_gates_hard(params: GateParams, rng: np.random.Generator) -> GateSample:
@@ -243,13 +255,10 @@ def marginal_eq7(p: float) -> float:
 
 
 def unit_composition(p_s: float, p_st: float) -> dict:
-    """Closed-form probabilities of the realized unit under independent gates."""
-    return {
-        "S": (1 - p_s) * p_st,
-        "ST": p_s * (1 - p_st),
-        "S+ST": (1 - p_s) * (1 - p_st),
-        "skip": p_s * p_st,
-    }
+    """Closed-form probability of each realized unit, keyed by label, under independent gates:
+    per site, 1 - p if the unit keeps it, else p."""
+    site = lambda p, kept: 1 - p if kept else p
+    return {u.label: site(p_s, u.sites[0]) * site(p_st, u.sites[1]) for u in FusionUnitKind}
 
 
 def temperature_schedule(step: int, total_steps: int) -> float:

@@ -14,7 +14,7 @@ from . import data as D
 from . import gates as G
 from .errors import ConfigurationError, ContractError, TrainingDiverged
 from .gates import GateParams, GateSample, ObjectiveConfig, objective
-from .model import FusionStrategy, Subnetwork, TemplateNetwork, recover_strategy, unit_name
+from .model import FusionStrategy, Subnetwork, TemplateNetwork, recover_strategy
 from .tensor import SGD, Tensor, backward, no_tape, softmax_cross_entropy
 
 
@@ -25,22 +25,22 @@ class TrainSchedule:
     batch_size: int = 16
     lr: float = 0.05
     lr_decay_epochs: tuple = (20,)
-    lr_decay_factor: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.warmup_epochs < 0 or self.main_epochs < 0:
             raise ConfigurationError("epoch counts must be >= 0")
+        if self.warmup_epochs + self.main_epochs == 0:  # no batch would seed the batch norms
+            raise ConfigurationError("warmup_epochs + main_epochs must be >= 1, got 0")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.lr_decay_factor <= 1.0:
-            raise ConfigurationError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
 
     def lr_at(self, epoch: int) -> float:
+        """`lr`, divided by ten at each `lr_decay_epochs` entry the epoch has reached."""
         lr = self.lr
         for e in self.lr_decay_epochs:
             if epoch >= e:
-                lr *= self.lr_decay_factor
+                lr *= 0.1
         return lr
 
 
@@ -278,7 +278,7 @@ def layer_preference_report(params: GateParams, best: FusionStrategy) -> list:
             "layer": i, "p_edge": p_edge, "p_S": p_s, "p_ST": p_st,
             "eq7_S": G.marginal_eq7(p_s), "eq7_ST": G.marginal_eq7(p_st),
             "freq_S": comp["S"], "freq_ST": comp["ST"], "freq_SST": comp["S+ST"], "freq_skip": comp["skip"],
-            "chosen_unit": unit_name(layer.u),
+            "chosen_unit": layer.u.label,
         })
     return rows
 

@@ -1,10 +1,10 @@
 """Fusion strategies and the densely connected gated template network.
 
 A strategy assigns each layer a triplet (l, v, u): layer index, a boolean
-input-selection vector, and a fusion unit (spatial S, spatiotemporal ST,
-both, or skipped). The template network holds every branch of every
-strategy; strategies are materialized as hard-gated views sharing the
-template's weights.
+input-selection vector, and a fusion unit (`gates.FusionUnitKind`: spatial
+S, spatiotemporal ST, both, or SKIP, which keeps neither branch). The
+template network holds every branch of every strategy; strategies are
+materialized as hard-gated views sharing the template's weights.
 
 Input-vector convention: v has length l. Slot 0 selects the layer's block
 input (the stem for the first block, the preceding transition otherwise);
@@ -22,45 +22,26 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError, ContractError, ShapeError, SizeGuardError
-from .gates import GateSample, LayerGates
+from .gates import FusionUnitKind, GateSample, LayerGates, edge_counts
 from .tensor import BatchNorm, Parameter, Tensor
 
+_UNIT_FROM_NAME = {u.label: u for u in FusionUnitKind}
+_UNIT_OF_SITES = {u.sites: u for u in FusionUnitKind}
 
-class FusionUnitKind(IntEnum):
-    S = 0
-    ST = 1
-    S_PLUS_ST = 2
-
-
-_UNIT_NAMES = {FusionUnitKind.S: "S", FusionUnitKind.ST: "ST", FusionUnitKind.S_PLUS_ST: "S+ST"}
-_UNIT_FROM_NAME = {v: k for k, v in _UNIT_NAMES.items()}
-_UNIT_FROM_NAME["skip"] = None
-
-# The branch gate sites each unit keeps, (keep_S, keep_ST); skip keeps neither.
-_UNIT_SITES = {
-    None: (False, False),
-    FusionUnitKind.S: (True, False),
-    FusionUnitKind.ST: (False, True),
-    FusionUnitKind.S_PLUS_ST: (True, True),
-}
-_UNIT_OF_SITES = {sites: u for u, sites in _UNIT_SITES.items()}
-
-
-def unit_name(u) -> str:
-    return "skip" if u is None else _UNIT_NAMES[u]
+# Every conv but the Transitions' 1x1 is 3x3 in space, or 3 taps in time, same-padded by 1.
+_KERNEL, _PADDING = 3, 1
 
 
 @dataclass(frozen=True)
 class StrategyLayer:
     l: int                       # 1-based global layer index
     v: tuple                     # booleans, length l
-    u: object                    # FusionUnitKind or None (skipped)
+    u: FusionUnitKind
 
 
 @dataclass(frozen=True)
@@ -86,7 +67,7 @@ class FusionStrategy:
         return {
             "L": self.num_layers,
             "layers": [
-                {"l": layer.l, "v": [1 if b else 0 for b in layer.v], "u": unit_name(layer.u)}
+                {"l": layer.l, "v": [1 if b else 0 for b in layer.v], "u": layer.u.label}
                 for layer in self.layers
             ],
         }
@@ -105,15 +86,13 @@ class FusionStrategy:
 
 
 def enumerate_all_strategies(num_layers: int) -> list:
-    """All 3^L unit assignments with every edge enabled, lexicographic order."""
+    """All 3^L assignments of the units that run a branch, with every edge enabled, lexicographic order."""
     count = 3 ** num_layers
     if count > 100000:
         raise SizeGuardError(f"3^{num_layers} = {count} strategies exceeds the 100000 guard")
     return [
-        FusionStrategy(layers=tuple(
-            StrategyLayer(l=i, v=(True,) * i, u=FusionUnitKind(d)) for i, d in enumerate(digits, start=1)
-        ))
-        for digits in itertools.product(range(3), repeat=num_layers)
+        FusionStrategy(layers=tuple(StrategyLayer(l=i, v=(True,) * i, u=u) for i, u in enumerate(assignment, start=1)))
+        for assignment in itertools.product(list(FusionUnitKind)[:3], repeat=num_layers)
     ]
 
 
@@ -129,7 +108,6 @@ class TemplateConfig:
     stem_channels: int
     clip_shape: tuple            # (C, T, H, W)
     num_classes: int
-    kernel_sizes: tuple = (3, 3, 3)   # (kt, kh, kw)
 
     def __post_init__(self):
         for name in ("num_blocks", "layers_per_block", "growth_channels", "stem_channels", "num_classes"):
@@ -137,11 +115,6 @@ class TemplateConfig:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if len(self.clip_shape) != 4 or any(x < 1 for x in self.clip_shape):
             raise ConfigurationError(f"clip_shape must be four positive extents (C,T,H,W), got {self.clip_shape}")
-        kt, kh, kw = self.kernel_sizes
-        if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
-            raise ConfigurationError(f"kernel sizes must be odd, got {self.kernel_sizes}")
-        if kh != kw:
-            raise ConfigurationError(f"spatial kernels must be square (kh == kw), got {self.kernel_sizes}")
         divisor = 2 ** (self.num_blocks - 1)
         _, _, h, w = self.clip_shape
         if h % divisor != 0 or w % divisor != 0 or h < divisor or w < divisor:
@@ -163,38 +136,37 @@ def _uniform(rng, shape, fan_in, gain=6.0):
 class DenseLayer:
     """One gated layer: an S branch (2D conv) and an ST branch (2D then 1D conv)."""
 
-    def __init__(self, global_index, in_channels, growth, kernel_sizes, rng):
-        kt, kh, kw = kernel_sizes
+    def __init__(self, global_index, in_channels, growth, rng):
+        k = _KERNEL
         self.global_index = global_index
         self.in_channels = in_channels
-        self.kh, self.kw, self.kt = kh, kw, kt
         prefix = f"layer{global_index}"
         self.bn_s = BatchNorm(in_channels, f"{prefix}/S/bn")
         self.conv_s = Parameter(
-            _uniform(rng, (growth, in_channels, kh, kw), in_channels * kh * kw), f"{prefix}/S/conv2d"
+            _uniform(rng, (growth, in_channels, k, k), in_channels * k * k), f"{prefix}/S/conv2d"
         )
         self.bn_st1 = BatchNorm(in_channels, f"{prefix}/ST/bn1")
         self.conv_st2d = Parameter(
-            _uniform(rng, (growth, in_channels, kh, kw), in_channels * kh * kw), f"{prefix}/ST/conv2d"
+            _uniform(rng, (growth, in_channels, k, k), in_channels * k * k), f"{prefix}/ST/conv2d"
         )
         self.bn_st2 = BatchNorm(growth, f"{prefix}/ST/bn2")
         self.conv_st1d = Parameter(
-            _uniform(rng, (growth, growth, kt), growth * kt), f"{prefix}/ST/conv1d"
+            _uniform(rng, (growth, growth, k), growth * k), f"{prefix}/ST/conv1d"
         )
 
     def branch_s(self, x, training):
         h = T.relu(self.bn_s(x, training))
-        return T.conv2d_spatial(h, self.conv_s, (self.kh - 1) // 2)
+        return T.conv2d_spatial(h, self.conv_s, _PADDING)
 
     def branch_st(self, x, training):
         h = T.relu(self.bn_st1(x, training))
-        h = T.conv2d_spatial(h, self.conv_st2d, (self.kh - 1) // 2)
+        h = T.conv2d_spatial(h, self.conv_st2d, _PADDING)
         h = T.relu(self.bn_st2(h, training))
-        return T.conv1d_temporal(h, self.conv_st1d, (self.kt - 1) // 2)
+        return T.conv1d_temporal(h, self.conv_st1d, _PADDING)
 
     def branch_parameters(self, unit):
         """Parameters of the branches a fusion unit keeps (none when skipped)."""
-        keep_s, keep_st = _UNIT_SITES[unit]
+        keep_s, keep_st = unit.sites
         s = [self.bn_s.gamma, self.bn_s.beta, self.conv_s]
         st = [
             self.bn_st1.gamma, self.bn_st1.beta, self.conv_st2d,
@@ -241,10 +213,9 @@ class TemplateNetwork:
     def __init__(self, config: TemplateConfig, seed: int):
         self.config = config
         rng = np.random.default_rng(seed)
-        c, t, h, w = config.clip_shape
-        kt, kh, kw = config.kernel_sizes
+        c = config.clip_shape[0]
         self.stem = Parameter(
-            _uniform(rng, (config.stem_channels, c, kh, kw), c * kh * kw), "stem/conv2d"
+            _uniform(rng, (config.stem_channels, c, _KERNEL, _KERNEL), c * _KERNEL * _KERNEL), "stem/conv2d"
         )
         self.blocks = []
         self.transitions = []
@@ -255,7 +226,7 @@ class TemplateNetwork:
             block_in = channels
             for j in range(config.layers_per_block):
                 in_ch = block_in + j * config.growth_channels
-                block.append(DenseLayer(global_index, in_ch, config.growth_channels, (kt, kh, kw), rng))
+                block.append(DenseLayer(global_index, in_ch, config.growth_channels, rng))
                 global_index += 1
             self.blocks.append(block)
             channels = block_in + config.layers_per_block * config.growth_channels
@@ -382,8 +353,7 @@ class TemplateNetwork:
                 yield from subtree(group, feats, depth + 1, node)
                 feats.pop()
 
-        kh = self.config.kernel_sizes[1]
-        yield from subtree(range(len(samples)), [T.conv2d_spatial(batch, self.stem, (kh - 1) // 2)], 0, ())
+        yield from subtree(range(len(samples)), [T.conv2d_spatial(batch, self.stem, _PADDING)], 0, ())
 
     def layer_step(self, layer: DenseLayer, feats: list, lg: LayerGates, training: bool) -> Tensor:
         """Output of one dense layer from the features before it in its block."""
@@ -406,56 +376,50 @@ class TemplateNetwork:
 def _node_statistics(bns: list, node: tuple, states):
     """Run the body with trie node `node`'s running statistics from `states` in `bns`, then store them back.
 
-    A node starts unseeded, so its first train-mode batch seeds it, as in
-    `BatchNorm`. The template's own statistics are back in `bns` afterwards;
-    without `states` they are the ones used.
+    A node starts unseeded (None), so its first train-mode batch seeds it, as
+    in `BatchNorm`. The template's own statistics are back in `bns`
+    afterwards; without `states` they are the ones used.
     """
     if states is None:
         yield
         return
-    own = [bn.state() for bn in bns]
+    own = [bn.running for bn in bns]
     for bn in bns:
-        bn.load_state(states.get((bn.prefix, node), dict(bn.state(), initialized=False)))
+        bn.running = states.get((bn.prefix, node))
     try:
         yield
         for bn in bns:
-            states[bn.prefix, node] = bn.state()
+            states[bn.prefix, node] = bn.running
     finally:
-        for bn, state in zip(bns, own):
-            bn.load_state(state)
+        for bn, running in zip(bns, own):
+            bn.running = running
 
 
 # ---------------------------------------------------------------------------
 # strategy <-> gates
 # ---------------------------------------------------------------------------
 
-def _first_in_block(per_block: int, layer_index: int) -> int:
-    """Global index of the first layer in the block holding a 1-based global layer index."""
-    return layer_index - (layer_index - 1) % per_block
+def _edge_slots(l: int, n_edges: int) -> tuple:
+    """The v slots of layer l's `n_edges` edges: its block input, then its in-block predecessors."""
+    return (0, *range(l - n_edges + 1, l))
 
 
 def gates_from_strategy(strategy: FusionStrategy, blocks) -> GateSample:
     """Hard gates implied by a strategy under the v-slot convention."""
-    layers = []
-    for layer in strategy.layers:
-        first_in_block = _first_in_block(blocks[1], layer.l)
-        edges = [1.0 if layer.v[0] else 0.0]
-        for pred in range(first_in_block, layer.l):
-            edges.append(1.0 if layer.v[pred] else 0.0)
-        keep_s, keep_st = _UNIT_SITES[layer.u]
-        layers.append(LayerGates(edges=edges, s=float(keep_s), st=float(keep_st)))
-    return GateSample(layers=layers, blocks=tuple(blocks))
+    return GateSample([
+        LayerGates(edges=[float(layer.v[slot]) for slot in _edge_slots(layer.l, n)],
+                   s=float(layer.u.sites[0]), st=float(layer.u.sites[1]))
+        for layer, n in zip(strategy.layers, edge_counts(blocks), strict=True)
+    ])
 
 
 def recover_strategy(gates: GateSample) -> FusionStrategy:
     """Read the fusion strategy back from a binary gate sample."""
     layers = []
     for i, lg in enumerate(gates.layers, start=1):
-        first_in_block = _first_in_block(gates.blocks[1], i)
         v = [False] * i
-        v[0] = float(lg.edges[0]) == 1.0
-        for e, pred in enumerate(range(first_in_block, i), start=1):
-            v[pred] = float(lg.edges[e]) == 1.0
+        for slot, edge in zip(_edge_slots(i, len(lg.edges)), lg.edges):
+            v[slot] = float(edge) == 1.0
         layers.append(StrategyLayer(l=i, v=tuple(v), u=_UNIT_OF_SITES[float(lg.s) == 1.0, float(lg.st) == 1.0]))
     return FusionStrategy(layers=tuple(layers))
 

@@ -213,10 +213,13 @@ def log(a: Tensor) -> Tensor:
     return _result(np.log(a.data), (a,), bwd)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)) of an array, as `sigmoid` computes it; piecewise, so exp cannot overflow."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # piecewise form avoids exp overflow for large |x|
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = logistic(a.data)
 
     def bwd(go):
         if a.requires_grad:
@@ -428,8 +431,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 class BatchNorm:
     """Per-channel batch normalization over batch, time, and space.
 
-    Single-process only. Running statistics use momentum 0.9 after being
-    seeded with the first train-mode batch.
+    Single-process only. `running` is None until the first train-mode batch
+    seeds it with that batch's (mean, var). Each later one replaces the pair,
+    never changing it in place, with its momentum-0.9 update.
     """
 
     EPS = 1e-5
@@ -440,9 +444,7 @@ class BatchNorm:
         self.prefix = prefix
         self.gamma = Parameter(np.ones(channels), f"{prefix}/gamma")
         self.beta = Parameter(np.zeros(channels), f"{prefix}/beta")
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.initialized = False
+        self.running = None
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         """Normalize with batch statistics (training) or running statistics (eval)."""
@@ -458,19 +460,18 @@ class BatchNorm:
                 raise ContractError(f"train-mode batch_norm needs >= 2 values per channel, got {m}")
             mu = x.data.mean(axis=axes)
             var = x.data.var(axis=axes)
-            if not self.initialized:
-                self.running_mean = mu.copy()
-                self.running_var = var.copy()
-                self.initialized = True
+            if self.running is None:
+                self.running = (mu, var)
             else:
-                self.running_mean = self.MOMENTUM * self.running_mean + (1 - self.MOMENTUM) * mu
-                self.running_var = self.MOMENTUM * self.running_var + (1 - self.MOMENTUM) * var
-        elif not self.initialized:
+                old_mu, old_var = self.running
+                self.running = (self.MOMENTUM * old_mu + (1 - self.MOMENTUM) * mu,
+                                self.MOMENTUM * old_var + (1 - self.MOMENTUM) * var)
+        elif self.running is None:
             raise UninitializedStateError(
                 f"batch_norm {self.prefix} used in eval mode before any train-mode call"
             )
         else:
-            mu, var = self.running_mean, self.running_var
+            mu, var = self.running
         ivar = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x.data - mu[per_channel]) * ivar[per_channel]
         out = gamma.data[per_channel] * xhat + beta.data[per_channel]
@@ -493,16 +494,13 @@ class BatchNorm:
         return _result(out, (x, gamma, beta), bwd)
 
     def state(self):
-        return {
-            "running_mean": self.running_mean.copy(),
-            "running_var": self.running_var.copy(),
-            "initialized": self.initialized,
-        }
+        """`running` under its weights-file keys; unseeded, it reads as zero mean and unit variance."""
+        mu, var = self.running or (np.zeros(self.channels), np.ones(self.channels))
+        return {"running_mean": mu.copy(), "running_var": var.copy(), "initialized": self.running is not None}
 
     def load_state(self, state):
-        self.running_mean = np.asarray(state["running_mean"], dtype=np.float64).copy()
-        self.running_var = np.asarray(state["running_var"], dtype=np.float64).copy()
-        self.initialized = bool(state["initialized"])
+        stats = tuple(np.array(state[key], dtype=np.float64) for key in ("running_mean", "running_var"))
+        self.running = stats if state["initialized"] else None
 
 
 # ---------------------------------------------------------------------------

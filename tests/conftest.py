@@ -99,7 +99,7 @@ def evaluate_one(net, strategy, val, recalibrate=None):
     try:
         if recalibrate is not None:
             for bn in net.batch_norms():
-                bn.initialized = False
+                bn.running = None
             for clips, _ in L._in_order(recalibrate):
                 sub.forward(T.Tensor(clips), training=True)
         correct = 0

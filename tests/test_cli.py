@@ -132,16 +132,21 @@ class TestGenerate:
         assert result.exit_code == cli.EXIT_CONFIG
         assert result.output.splitlines() == [f"config error: config section {section} must be a JSON object"]
 
-    @pytest.mark.parametrize("section, key, value, message", [
-        ("schedule", "batch_size", 0, "batch_size must be >= 1, got 0"),
-        ("data", "clips_per_class", 1, "clips_per_class must be >= 2, got 1"),
-        ("schedule", "warmup_epochs", -1, "epoch counts must be >= 0"),
-        ("template", "kernel_sizes", [3, 3, 5], "spatial kernels must be square (kh == kw), got (3, 3, 5)"),
-        ("sampling", "count", 0, "sampling count must be >= 1, got 0"),
-    ], ids=["batch-size-0", "one-clip-per-class", "negative-epochs", "non-square-kernel", "sampling-count-0"])
-    def test_impossible_config_exit_2(self, runner, tmp_path, section, key, value, message):
+    @pytest.mark.parametrize("section, edit, message", [
+        ("schedule", {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ("data", {"clips_per_class": 1}, "clips_per_class must be >= 2, got 1"),
+        ("schedule", {"warmup_epochs": -1}, "epoch counts must be >= 0"),
+        ("template", {"kernel_sizes": [3, 3, 5]}, "unknown config field: template.kernel_sizes"),
+        ("sampling", {"count": 0}, "sampling count must be >= 1, got 0"),
+        ("schedule", {"warmup_epochs": 0, "main_epochs": 0}, "warmup_epochs + main_epochs must be >= 1, got 0"),
+        ("schedule", {"lr_decay_epoch": [1]}, "unknown config field: schedule.lr_decay_epoch"),
+        ("sampling", {"recalibrate": True}, "unknown config field: sampling.recalibrate"),
+        (None, {"objectve": {"k": 5.0}}, "unknown config field: objectve"),
+    ], ids=["batch-size-0", "one-clip-per-class", "negative-epochs", "non-square-kernel", "sampling-count-0",
+            "zero-total-epochs", "misspelt-schedule-key", "misspelt-sampling-key", "misspelt-section"])
+    def test_impossible_config_exit_2(self, runner, tmp_path, section, edit, message):
         cfg = base_config()
-        cfg[section][key] = value
+        (cfg[section] if section else cfg).update(edit)
         cfg_path = write_config(tmp_path, cfg)
         result = runner.invoke(cli.main, ["generate", "--config", cfg_path, "--workdir", str(tmp_path / "run")])
         assert result.exit_code == cli.EXIT_CONFIG

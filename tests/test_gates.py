@@ -180,6 +180,17 @@ class TestObjective:
             assert err < 1e-4
 
 
+class TestDropProbs:
+    def test_bit_equal_to_the_objectives_sigmoid(self):
+        params = GateParams(blocks=(1, 100))
+        logits = np.random.default_rng(0).normal(-2.0, 1.5, size=(params.num_layers, 3))
+        for lg, row in zip(params.layers, logits):
+            for z, value in zip(lg, row):
+                z.data = np.float64(value)
+        expected = [tuple(T.sigmoid(z).item() for z in lg) for lg in params.layers]
+        assert params.drop_probs() == expected
+
+
 class TestMarginals:
     @pytest.mark.parametrize("p,expected", [(0.0, 1.0), (0.25, 0.5), (1.0, 0.0)])
     def test_eq7_values(self, p, expected):

@@ -41,7 +41,7 @@ def tiny_splits():
 
 def make_eval(acc, mults=10, params=10, tag=0):
     strat = FusionStrategy(layers=[
-        StrategyLayer(l=1, v=(True,), u=FusionUnitKind(tag % 3)),
+        StrategyLayer(l=1, v=(True,), u=list(FusionUnitKind)[tag % 3]),
         StrategyLayer(l=2, v=(True, True), u=FusionUnitKind.S_PLUS_ST),
     ])
     return L.StrategyEvaluation(strategy=strat, val_accuracy=acc,
@@ -145,7 +145,7 @@ class TestSampling:
 
 def _checksum(net):
     return float(sum(np.sum(p.data) for p in net.parameters())) + float(
-        sum(np.sum(bn.running_mean) + np.sum(bn.running_var) for bn in net.batch_norms()))
+        sum(np.sum(bn.running[0]) + np.sum(bn.running[1]) for bn in net.batch_norms()))
 
 
 class TestEvaluateStrategy:

@@ -48,7 +48,7 @@ def expected_param_count(cfg):
     """Closed-form tally from the dense-connectivity formula, written
     independently of the network construction code."""
     c, t, h, w = cfg.clip_shape
-    kt, kh, kw = cfg.kernel_sizes
+    kt = kh = kw = 3  # every gated conv is 3x3, or 3 taps
     g = cfg.growth_channels
     total = cfg.stem_channels * c * kh * kw  # stem
     channels = cfg.stem_channels
@@ -141,9 +141,9 @@ class TestStateDict:
         assert np.array_equal(target.forward(x, gates, training=False).data,
                               source.forward(x, gates, training=False).data)
         for a, b in zip(source.batch_norms(), target.batch_norms()):
-            assert np.array_equal(a.running_mean, b.running_mean)
-            assert np.array_equal(a.running_var, b.running_var)
-            assert a.initialized and b.initialized
+            assert a.running is not None and b.running is not None
+            assert np.array_equal(a.running[0], b.running[0])
+            assert np.array_equal(a.running[1], b.running[1])
 
     def test_growth_mismatch_names_parameter(self):
         wider = TemplateNetwork(dataclasses.replace(SMALL, growth_channels=5), seed=0)
@@ -240,7 +240,7 @@ class TestMaterializeAndRecover:
         net = TemplateNetwork(SMALL, seed=1)
         x = warm_up_batch_norms(net, rng)
         skipped = FusionStrategy(layers=tuple(
-            StrategyLayer(l=i, v=(True,) * i, u=None) for i in range(1, 3)
+            StrategyLayer(l=i, v=(True,) * i, u=FusionUnitKind.SKIP) for i in range(1, 3)
         ))
         sub = Subnetwork(net, skipped)
         before = sub.forward(x).data.copy()
@@ -277,7 +277,7 @@ class TestMaterializeAndRecover:
         gates.layers[1].s = 0.0
         gates.layers[1].st = 0.0
         strategy = recover_strategy(gates)
-        assert strategy.layers[1].u is None
+        assert strategy.layers[1].u is FusionUnitKind.SKIP
 
     def test_strategy_gate_round_trip(self):
         params = GateParams.for_config(TWO_BLOCK, init_drop=0.5)
@@ -337,7 +337,7 @@ class TestStrategySerialization:
         assert obj["layers"][1]["u"] == "ST"
 
     def test_skip_serialization(self):
-        layers = (StrategyLayer(l=1, v=(True,), u=None),)
+        layers = (StrategyLayer(l=1, v=(True,), u=FusionUnitKind.SKIP),)
         s = FusionStrategy(layers=layers)
         assert s.to_json()["layers"][0]["u"] == "skip"
         assert FusionStrategy.from_json(s.to_json()) == s
@@ -355,9 +355,10 @@ class TestStrategySerialization:
 
     def test_every_posterior_draw_is_in_the_space(self):
         draws = L.sample_strategies(GateParams.for_config(TWO_BLOCK, init_drop=0.5), 200, np.random.default_rng(0))
-        assert any(layer.u is not None and not any(layer.v) for s in draws for layer in s.layers)
+        assert any(layer.u is not FusionUnitKind.SKIP and not any(layer.v) for s in draws for layer in s.layers)
         for s in draws:
             assert FusionStrategy.from_json(json.loads(json.dumps(s.validate().to_json()))) == s
+            assert recover_strategy(gates_from_strategy(s, (TWO_BLOCK.num_blocks, TWO_BLOCK.layers_per_block))) == s
 
     def test_layers_are_frozen_to_a_tuple(self):
         s = FusionStrategy(layers=[StrategyLayer(l=1, v=(True,), u=FusionUnitKind.ST)])

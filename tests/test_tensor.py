@@ -172,6 +172,9 @@ class TestBatchNorm:
         bn = T.BatchNorm(2, "bn")
         with pytest.raises(UninitializedStateError):
             bn(T.Tensor(rng.normal(size=(1, 2, 2, 3, 3))), training=False)
+        bn.load_state(T.BatchNorm(2, "other").state())  # an unseeded state loads unseeded
+        with pytest.raises(UninitializedStateError):
+            bn(T.Tensor(rng.normal(size=(1, 2, 2, 3, 3))), training=False)
 
     def test_running_stats_track_training(self, rng):
         bn = T.BatchNorm(2, "bn")
